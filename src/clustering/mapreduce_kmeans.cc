@@ -72,22 +72,15 @@ std::vector<DataPartition> PartitionsWithPrefetch(const DatasetSource& data,
   return parts;
 }
 
-/// Installs the context's fault policy on a job: attempt budget,
-/// optional speculation, and the error channel every driver checks
-/// right after Run (a terminal task failure yields a Status, never an
-/// abort). `allow_speculation` is false for jobs whose map tasks write
-/// shared per-row state (the k-means|| distance update, the Lloyd
-/// assignment scatter): a retry of such a task is idempotent — it
-/// rewrites the same rows with the same values after the primary is
-/// dead — but a live speculative twin would race the primary on those
-/// rows, so only side-effect-free jobs speculate.
+/// Installs the context's fault policy on a job: the attempt budget and
+/// the error channel every driver checks right after Run (a terminal
+/// task failure yields a Status, never an abort). Retrying a task that
+/// writes shared per-row state (the k-means|| distance update, the Lloyd
+/// assignment scatter) is idempotent: the retry runs after the failed
+/// attempt is dead and rewrites the same rows with the same values.
 template <typename JobT>
-void ApplyFaultPolicy(JobT* job, const MRContext& ctx, Status* error_out,
-                      bool allow_speculation = true) {
-  job->WithTaskAttempts(ctx.max_task_attempts)
-      .WithSpeculativeExecution(allow_speculation &&
-                                ctx.speculative_execution)
-      .WithErrorOut(error_out);
+void ApplyFaultPolicy(JobT* job, const MRContext& ctx, Status* error_out) {
+  job->WithTaskAttempts(ctx.max_task_attempts).WithErrorOut(error_out);
 }
 
 }  // namespace
@@ -201,7 +194,7 @@ Result<double> RunUpdateCostJob(const DatasetSource& data,
       })
       .WithCounters(ctx.counters);
   Status job_error;
-  ApplyFaultPolicy(&job, ctx, &job_error, /*allow_speculation=*/false);
+  ApplyFaultPolicy(&job, ctx, &job_error);
   auto outputs = job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
@@ -769,11 +762,8 @@ Result<LloydResult> MRRunLloyd(const DatasetSource& data,
           return out;
         })
         .WithCounters(ctx.counters);
-    // The map scatters into the shared `assignment` vector, so a live
-    // speculative twin would race the primary; retries (which run only
-    // after the primary attempt died) are idempotent and stay enabled.
     Status job_error;
-    ApplyFaultPolicy(&job, ctx, &job_error, /*allow_speculation=*/false);
+    ApplyFaultPolicy(&job, ctx, &job_error);
 
     auto outputs =
         job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));

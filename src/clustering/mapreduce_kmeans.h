@@ -47,9 +47,6 @@ struct MRContext {
   /// driver returns its error as a Status. Retried runs are bitwise
   /// identical to fault-free runs (folds stay task-index-ordered).
   int max_task_attempts = 3;
-  /// Straggler mitigation (see Job::WithSpeculativeExecution): submit a
-  /// speculative duplicate of every map task; first completion wins.
-  bool speculative_execution = false;
 };
 
 /// φ_X(C) computed as one MapReduce job.

@@ -105,8 +105,8 @@ struct KMeansConfig {
   /// set explicitly). A re-run of the same configuration that finds a
   /// valid checkpoint resumes from it and produces a bitwise-identical
   /// report; checkpoints are removed as each phase completes. The
-  /// MapReduce path does not checkpoint (its per-task retry plus
-  /// speculative re-execution covers worker faults); with num_runs > 1
+  /// MapReduce path does not checkpoint (its per-task retry covers
+  /// worker faults); with num_runs > 1
   /// only the seeding run in flight at a crash resumes — completed runs
   /// recompute deterministically.
   std::string checkpoint_path;

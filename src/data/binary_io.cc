@@ -1,11 +1,8 @@
 #include "data/binary_io.h"
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <vector>
-
-#include "data/model_io.h"  // for data::Crc32
 
 namespace kmeansll::data {
 
@@ -25,7 +22,75 @@ constexpr uint32_t kFlagPayloadCrc = 1u << 2;
 constexpr uint32_t kKnownFlags =
     kFlagWeights | kFlagLabels | kFlagPayloadCrc;
 
+/// The file-size rule: bytes a KMLLDATA file of this shape holds, or -1
+/// when the size overflows int64. Callers bound d by 2^24, so only the
+/// product with n can overflow.
+int64_t DatasetFileBytes(int64_t n, int64_t d, bool weights, bool labels,
+                         bool crc) {
+  const int64_t row_bytes = d * 8 + (weights ? 8 : 0) + (labels ? 4 : 0);
+  const int64_t payload = CheckedBytes(n, row_bytes);
+  const int64_t fixed = kDatasetHeaderBytes + (crc ? 4 : 0);
+  return payload < 0 || payload > INT64_MAX - fixed ? -1 : payload + fixed;
+}
+
 }  // namespace
+
+Result<DatasetHeader> ReadDatasetHeader(RecordReader* in) {
+  const std::string& path = in->path();
+  KMEANSLL_RETURN_NOT_OK(in->ExpectMagic(kMagic, "dataset file"));
+  DatasetHeader header;
+  int32_t version = 0;
+  uint32_t flags = 0;
+  KMEANSLL_RETURN_NOT_OK(in->Read(&version));
+  KMEANSLL_RETURN_NOT_OK(in->Read(&header.n));
+  KMEANSLL_RETURN_NOT_OK(in->Read(&header.dim));
+  KMEANSLL_RETURN_NOT_OK(in->Read(&flags));
+  if (version < kMinVersion || version > kVersion) {
+    return Status::InvalidArgument("unsupported dataset version in '" +
+                                   path + "'");
+  }
+  if ((flags & ~kKnownFlags) != 0 ||
+      (version < 2 && (flags & kFlagPayloadCrc) != 0)) {
+    return Status::InvalidArgument("unknown flags in '" + path + "'");
+  }
+  header.has_weights = (flags & kFlagWeights) != 0;
+  header.has_labels = (flags & kFlagLabels) != 0;
+  header.has_crc = (flags & kFlagPayloadCrc) != 0;
+  header.file_bytes =
+      header.n > 0 && header.dim > 0 && header.n <= (int64_t{1} << 40) &&
+              header.dim <= (int64_t{1} << 24)
+          ? DatasetFileBytes(header.n, header.dim, header.has_weights,
+                             header.has_labels, header.has_crc)
+          : -1;
+  if (header.file_bytes < 0) {
+    return Status::InvalidArgument("implausible dataset shape in '" + path +
+                                   "'");
+  }
+  if (header.file_bytes - kDatasetHeaderBytes > in->remaining()) {
+    return in->Truncated();
+  }
+  return header;
+}
+
+void PutDataset(int64_t n, int64_t d, const double* points,
+                const double* weights, const int32_t* labels,
+                RecordWriter* out) {
+  uint32_t flags = kFlagPayloadCrc;
+  if (weights != nullptr) flags |= kFlagWeights;
+  if (labels != nullptr) flags |= kFlagLabels;
+  out->Reserve(out->size() +
+               static_cast<size_t>(DatasetFileBytes(
+                   n, d, weights != nullptr, labels != nullptr, true)));
+  out->PutBytes(kMagic, sizeof(kMagic));
+  out->Put(kVersion);
+  out->Put(n);
+  out->Put(d);
+  out->Put(flags);
+  out->PutArray(points, n * d);
+  if (weights != nullptr) out->PutArray(weights, n);
+  if (labels != nullptr) out->PutArray(labels, n);
+  out->PutCrc();
+}
 
 Status WriteBinaryRange(const Dataset& dataset, int64_t begin, int64_t end,
                         const std::string& path) {
@@ -38,38 +103,16 @@ Status WriteBinaryRange(const Dataset& dataset, int64_t begin, int64_t end,
   if (!out.is_open()) {
     return Status::IOError("cannot open '" + path + "' for writing");
   }
-  int64_t n = end - begin;
-  int64_t d = dataset.dim();
-  uint32_t flags = kFlagPayloadCrc;
-  if (dataset.has_weights()) flags |= kFlagWeights;
-  if (dataset.has_labels()) flags |= kFlagLabels;
-
-  // Every byte that hits the stream also folds into the running CRC so
-  // the trailing checksum covers the whole file without a second pass.
-  uint32_t crc = 0;
-  auto put = [&out, &crc](const void* bytes, size_t size) {
-    out.write(static_cast<const char*>(bytes),
-              static_cast<std::streamsize>(size));
-    crc = Crc32(bytes, size, crc);
-  };
-
-  put(kMagic, sizeof(kMagic));
-  int32_t version = kVersion;
-  put(&version, sizeof(version));
-  put(&n, sizeof(n));
-  put(&d, sizeof(d));
-  put(&flags, sizeof(flags));
-  put(dataset.points().data() + begin * d,
-      static_cast<size_t>(n * d) * sizeof(double));
-  if (dataset.has_weights()) {
-    put(dataset.weights().data() + begin,
-        static_cast<size_t>(n) * sizeof(double));
-  }
-  if (dataset.has_labels()) {
-    put(dataset.labels().data() + begin,
-        static_cast<size_t>(n) * sizeof(int32_t));
-  }
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  // Streamed straight to the file: the trailing CRC folds as the bytes
+  // pass, so it covers the whole file without a staging copy.
+  const int64_t d = dataset.dim();
+  RecordWriter writer(&out);
+  PutDataset(end - begin, d, dataset.points().data() + begin * d,
+             dataset.has_weights() ? dataset.weights().data() + begin
+                                   : nullptr,
+             dataset.has_labels() ? dataset.labels().data() + begin
+                                  : nullptr,
+             &writer);
   if (!out.good()) return Status::IOError("write to '" + path + "' failed");
   return Status::OK();
 }
@@ -79,76 +122,20 @@ Status WriteBinary(const Dataset& dataset, const std::string& path) {
 }
 
 Result<Dataset> ReadBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not a kmeansll dataset file");
-  }
-  int32_t version = 0;
-  int64_t n = 0, d = 0;
-  uint32_t flags = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  in.read(reinterpret_cast<char*>(&d), sizeof(d));
-  in.read(reinterpret_cast<char*>(&flags), sizeof(flags));
-  if (!in.good() || version < kMinVersion || version > kVersion) {
-    return Status::InvalidArgument("unsupported dataset version in '" +
-                                   path + "'");
-  }
-  if ((flags & ~kKnownFlags) != 0 ||
-      (version < 2 && (flags & kFlagPayloadCrc) != 0)) {
-    return Status::InvalidArgument("unknown flags in '" + path + "'");
-  }
-  if (n <= 0 || d <= 0 || n > (int64_t{1} << 40) ||
-      d > (int64_t{1} << 24)) {
-    return Status::InvalidArgument("implausible dataset shape in '" + path +
-                                   "'");
-  }
-  // Fold everything read so far (and every section below) into a running
-  // CRC; v2 files carry the expected value in their final four bytes.
-  uint32_t crc = Crc32(kMagic, sizeof(kMagic));
-  crc = Crc32(&version, sizeof(version), crc);
-  crc = Crc32(&n, sizeof(n), crc);
-  crc = Crc32(&d, sizeof(d), crc);
-  crc = Crc32(&flags, sizeof(flags), crc);
-
+  KMEANSLL_ASSIGN_OR_RETURN(RecordReader in, RecordReader::OpenFile(path));
+  // The header check bounds the payload by the file size, so the matrix
+  // below is never larger than the file; sections are read straight into
+  // their destinations while the reader folds the running CRC.
+  KMEANSLL_ASSIGN_OR_RETURN(DatasetHeader header, ReadDatasetHeader(&in));
+  const int64_t n = header.n, d = header.dim;
   Matrix points(n, d);
-  in.read(reinterpret_cast<char*>(points.data()),
-          static_cast<std::streamsize>(n * d * sizeof(double)));
-  if (!in.good()) return Status::IOError("'" + path + "' is truncated");
-  crc = Crc32(points.data(), static_cast<size_t>(n * d) * sizeof(double),
-              crc);
-
+  KMEANSLL_RETURN_NOT_OK(in.ReadBytes(
+      points.data(), static_cast<size_t>(n * d) * sizeof(double)));
   std::vector<double> weights;
-  if ((flags & kFlagWeights) != 0) {
-    weights.resize(static_cast<size_t>(n));
-    in.read(reinterpret_cast<char*>(weights.data()),
-            static_cast<std::streamsize>(n * sizeof(double)));
-    if (!in.good()) return Status::IOError("'" + path + "' is truncated");
-    crc = Crc32(weights.data(), weights.size() * sizeof(double), crc);
-  }
+  if (header.has_weights) KMEANSLL_RETURN_NOT_OK(in.ReadArray(n, &weights));
   std::vector<int32_t> labels;
-  if ((flags & kFlagLabels) != 0) {
-    labels.resize(static_cast<size_t>(n));
-    in.read(reinterpret_cast<char*>(labels.data()),
-            static_cast<std::streamsize>(n * sizeof(int32_t)));
-    if (!in.good()) return Status::IOError("'" + path + "' is truncated");
-    crc = Crc32(labels.data(), labels.size() * sizeof(int32_t), crc);
-  }
-  if ((flags & kFlagPayloadCrc) != 0) {
-    uint32_t stored = 0;
-    in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-    if (!in.good()) return Status::IOError("'" + path + "' is truncated");
-    if (stored != crc) {
-      return Status::InvalidArgument("payload CRC mismatch in '" + path +
-                                     "'");
-    }
-  }
+  if (header.has_labels) KMEANSLL_RETURN_NOT_OK(in.ReadArray(n, &labels));
+  if (header.has_crc) KMEANSLL_RETURN_NOT_OK(in.ReadCrc("payload"));
 
   if (!weights.empty() && !labels.empty()) {
     return Dataset::WithWeightsAndLabels(std::move(points),

@@ -6,16 +6,50 @@
 // Version 2 appends a CRC-32 over every preceding file byte (flagged
 // via the payload-CRC flag bit) so silent payload corruption fails
 // cleanly at read time; version 1 files (no checksum) remain readable.
+//
+// This header is also the format's one codec: the 32-byte header, its
+// flags, and the file-size rule are encoded by PutDataset and decoded by
+// ReadDatasetHeader, which both dataset writers (WriteBinaryRange,
+// ShardWriter) and both readers (ReadBinary, ShardedDataset) share.
 
 #ifndef KMEANSLL_DATA_BINARY_IO_H_
 #define KMEANSLL_DATA_BINARY_IO_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
+#include "data/record_io.h"
 #include "matrix/dataset.h"
 
 namespace kmeansll::data {
+
+/// magic(8) | i32 version | i64 n | i64 d | u32 flags; the payload
+/// sections follow at this offset.
+inline constexpr int64_t kDatasetHeaderBytes = 32;
+
+/// A validated KMLLDATA header.
+struct DatasetHeader {
+  int64_t n = 0;
+  int64_t dim = 0;
+  bool has_weights = false;
+  bool has_labels = false;
+  bool has_crc = false;    ///< v2 payload CRC trailer present
+  int64_t file_bytes = 0;  ///< exact size from the magic to the trailer
+};
+
+/// Reads the header at the cursor and validates magic, version, flags,
+/// and shape plausibility. The file size the header implies is
+/// overflow-checked and must fit in the bytes the reader holds (an
+/// IOError otherwise), so nothing is allocated for a payload that is
+/// not there.
+Result<DatasetHeader> ReadDatasetHeader(RecordReader* in);
+
+/// Writes n rows of d columns as a version-2 KMLLDATA file: header,
+/// points, weights (when non-null), labels (when non-null), CRC trailer.
+void PutDataset(int64_t n, int64_t d, const double* points,
+                const double* weights, const int32_t* labels,
+                RecordWriter* out);
 
 /// Writes `dataset` (points, weights if any, labels if any).
 Status WriteBinary(const Dataset& dataset, const std::string& path);

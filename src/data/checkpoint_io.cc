@@ -1,12 +1,7 @@
 #include "data/checkpoint_io.h"
 
-#include <cstring>
-#include <fstream>
-
-#include "common/file_util.h"
 #include "common/metrics.h"
-#include "common/retry.h"
-#include "data/model_io.h"
+#include "data/record_io.h"
 
 namespace kmeansll::data {
 
@@ -16,43 +11,6 @@ constexpr char kCheckpointMagic[8] = {'K', 'M', 'L', 'L', 'C', 'K',
                                       'P', 'T'};
 constexpr int32_t kCheckpointVersion = 1;
 constexpr int64_t kMaxHistoryLen = int64_t{1} << 24;
-
-void Put(std::string* out, const void* bytes, size_t size) {
-  out->append(static_cast<const char*>(bytes), size);
-}
-
-template <typename T>
-void PutScalar(std::string* out, T value) {
-  Put(out, &value, sizeof(T));
-}
-
-// Bounds-checked cursor, same discipline as model_io's loader.
-class Reader {
- public:
-  Reader(const std::string& bytes, const std::string& path)
-      : bytes_(bytes), path_(path) {}
-
-  Status Read(void* dst, size_t size) {
-    if (offset_ + size > bytes_.size()) {
-      return Status::IOError("'" + path_ + "' is truncated");
-    }
-    std::memcpy(dst, bytes_.data() + offset_, size);
-    offset_ += size;
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status ReadScalar(T* value) {
-    return Read(value, sizeof(T));
-  }
-
-  size_t offset() const { return offset_; }
-
- private:
-  const std::string& bytes_;
-  const std::string& path_;
-  size_t offset_ = 0;
-};
 
 }  // namespace
 
@@ -81,42 +39,30 @@ Status SaveCheckpoint(const TrainingCheckpoint& checkpoint,
   const auto history_len =
       static_cast<int64_t>(checkpoint.cost_history.size());
 
-  std::string buf;
-  buf.reserve(static_cast<size_t>(
-      128 + ((k + prev_k) * d + history_len) * 8));
-  Put(&buf, kCheckpointMagic, sizeof(kCheckpointMagic));
-  PutScalar<int32_t>(&buf, kCheckpointVersion);
-  PutScalar<int32_t>(&buf, static_cast<int32_t>(checkpoint.phase));
-  PutScalar<uint64_t>(&buf, checkpoint.fingerprint);
-  PutScalar<int64_t>(&buf, checkpoint.iteration);
-  PutScalar<int64_t>(&buf, checkpoint.empty_cluster_repairs);
-  PutScalar<int64_t>(&buf, checkpoint.data_passes);
-  PutScalar<int64_t>(&buf, k);
-  PutScalar<int64_t>(&buf, d);
-  PutScalar<int64_t>(&buf, prev_k);
-  PutScalar<int64_t>(&buf, history_len);
-  Put(&buf, checkpoint.centers.data(),
-      static_cast<size_t>(k * d) * sizeof(double));
-  if (prev_k > 0) {
-    Put(&buf, checkpoint.prev_centers.data(),
-        static_cast<size_t>(prev_k * d) * sizeof(double));
-  }
-  if (history_len > 0) {
-    Put(&buf, checkpoint.cost_history.data(),
-        static_cast<size_t>(history_len) * sizeof(double));
-  }
-  PutScalar<uint32_t>(&buf, Crc32(buf.data(), buf.size()));
+  RecordWriter out;
+  out.Reserve(
+      static_cast<size_t>(128 + ((k + prev_k) * d + history_len) * 8));
+  out.PutBytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+  out.Put(kCheckpointVersion);
+  out.Put(static_cast<int32_t>(checkpoint.phase));
+  out.Put(checkpoint.fingerprint);
+  out.Put(checkpoint.iteration);
+  out.Put(checkpoint.empty_cluster_repairs);
+  out.Put(checkpoint.data_passes);
+  out.Put(k);
+  out.Put(d);
+  out.Put(prev_k);
+  out.Put(history_len);
+  out.PutArray(checkpoint.centers.data(), k * d);
+  out.PutArray(checkpoint.prev_centers.data(), prev_k * d);
+  out.PutArray(checkpoint.cost_history.data(), history_len);
+  out.PutCrc();
 
   // Crash-safe: the rename is the commit point, so an interrupted save
   // leaves the previous checkpoint (or none), never a torn file.
   int64_t retries = 0;
-  Status written = RetryTransient(
-      RetryPolicy{},
-      [&] {
-        return AtomicWriteFile(path, buf.data(), buf.size(),
-                               "checkpoint.write");
-      },
-      &retries);
+  Status written =
+      PublishFile(path, out.bytes(), "checkpoint.write", &retries);
   if (out_retries != nullptr) *out_retries += retries;
   MetricsRegistry::Global()
       .GetCounter("kmll_train_checkpoint_retries_total",
@@ -126,25 +72,12 @@ Status SaveCheckpoint(const TrainingCheckpoint& checkpoint,
 }
 
 Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IOError("read of '" + path + "' failed");
-  }
-
-  Reader reader(bytes, path);
-  char magic[8];
-  KMEANSLL_RETURN_NOT_OK(reader.Read(magic, sizeof(magic)));
-  if (std::memcmp(magic, kCheckpointMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument(
-        "'" + path + "' is not a kmeansll checkpoint file");
-  }
+  KMEANSLL_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path));
+  RecordReader in(bytes, path);
+  KMEANSLL_RETURN_NOT_OK(
+      in.ExpectMagic(kCheckpointMagic, "checkpoint file"));
   int32_t version = 0;
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&version));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&version));
   if (version != kCheckpointVersion) {
     return Status::InvalidArgument(
         "unsupported checkpoint version " + std::to_string(version) +
@@ -153,15 +86,15 @@ Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
   TrainingCheckpoint ckpt;
   int32_t phase = 0;
   int64_t k = 0, d = 0, prev_k = 0, history_len = 0;
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&phase));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&ckpt.fingerprint));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&ckpt.iteration));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&ckpt.empty_cluster_repairs));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&ckpt.data_passes));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&k));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&d));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&prev_k));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&history_len));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&phase));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&ckpt.fingerprint));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&ckpt.iteration));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&ckpt.empty_cluster_repairs));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&ckpt.data_passes));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&k));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&d));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&prev_k));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&history_len));
   if (phase != static_cast<int32_t>(TrainingCheckpoint::Phase::kSeeding) &&
       phase != static_cast<int32_t>(TrainingCheckpoint::Phase::kLloyd)) {
     return Status::InvalidArgument("unknown checkpoint phase in '" + path +
@@ -176,38 +109,13 @@ Result<TrainingCheckpoint> LoadCheckpoint(const std::string& path) {
     return Status::InvalidArgument("implausible checkpoint shape in '" +
                                    path + "'");
   }
-
-  const size_t payload_bytes =
-      static_cast<size_t>((k + prev_k) * d + history_len) * 8;
-  const size_t expected = reader.offset() + payload_bytes + 4;
-  if (bytes.size() < expected) {
-    return Status::IOError("'" + path + "' is truncated");
-  }
-  if (bytes.size() > expected) {
-    return Status::InvalidArgument(
-        "'" + path + "' has trailing bytes after the checkpoint");
-  }
-
-  ckpt.centers = Matrix(k, d);
-  KMEANSLL_RETURN_NOT_OK(
-      reader.Read(ckpt.centers.data(), static_cast<size_t>(k * d) * 8));
+  KMEANSLL_RETURN_NOT_OK(in.ReadMatrix(k, d, &ckpt.centers));
   if (prev_k > 0) {
-    ckpt.prev_centers = Matrix(prev_k, d);
-    KMEANSLL_RETURN_NOT_OK(reader.Read(
-        ckpt.prev_centers.data(), static_cast<size_t>(prev_k * d) * 8));
+    KMEANSLL_RETURN_NOT_OK(in.ReadMatrix(prev_k, d, &ckpt.prev_centers));
   }
-  if (history_len > 0) {
-    ckpt.cost_history.resize(static_cast<size_t>(history_len));
-    KMEANSLL_RETURN_NOT_OK(reader.Read(
-        ckpt.cost_history.data(), static_cast<size_t>(history_len) * 8));
-  }
-
-  uint32_t stored_crc = 0;
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&stored_crc));
-  if (stored_crc != Crc32(bytes.data(), bytes.size() - 4)) {
-    return Status::InvalidArgument("CRC mismatch in '" + path +
-                                   "': the checkpoint is corrupt");
-  }
+  KMEANSLL_RETURN_NOT_OK(in.ReadArray(history_len, &ckpt.cost_history));
+  KMEANSLL_RETURN_NOT_OK(in.ReadCrc("checkpoint"));
+  KMEANSLL_RETURN_NOT_OK(in.ExpectEnd("checkpoint"));
   return ckpt;
 }
 

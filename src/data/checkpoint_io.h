@@ -25,7 +25,7 @@
 //   | i64 k | i64 d | i64 prev_k | i64 history_len
 //   | f64 centers[k*d] | f64 prev_centers[prev_k*d]
 //   | f64 cost_history[history_len] | u32 crc32
-// The trailing CRC-32 is data/model_io.h's Crc32 over every preceding
+// The trailing CRC-32 is data/record_io.h's Crc32 over every preceding
 // byte. Saves go through AtomicWriteFile (temp + fsync + rename), so a
 // crash mid-save leaves the previous checkpoint intact; loads validate
 // magic, version, shape, truncation, surplus bytes, and the CRC. A

@@ -1,14 +1,10 @@
 #include "data/model_io.h"
 
-#include <array>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 
-#include "common/fault_injection.h"
-#include "common/file_util.h"
 #include "common/metrics.h"
-#include "common/retry.h"
+#include "data/record_io.h"
 #include "distance/l2.h"
 
 namespace kmeansll::data {
@@ -17,72 +13,9 @@ namespace {
 
 constexpr char kModelMagic[8] = {'K', 'M', 'L', 'L', 'M', 'O', 'D', 'L'};
 constexpr int32_t kModelVersion = 2;
-constexpr int64_t kMaxInitMethodBytes = 4096;
-
-// Reflected CRC-32 table (IEEE 802.3 polynomial 0xEDB88320), built once.
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int b = 0; b < 8; ++b) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-const std::array<uint32_t, 256> kCrcTable = BuildCrcTable();
-
-// Appends raw bytes to the serialization buffer.
-void Put(std::string* out, const void* bytes, size_t size) {
-  out->append(static_cast<const char*>(bytes), size);
-}
-
-template <typename T>
-void PutScalar(std::string* out, T value) {
-  Put(out, &value, sizeof(T));
-}
-
-// Cursor over a fully loaded file; every read checks remaining bytes so
-// truncation surfaces as a typed error instead of garbage values.
-class Reader {
- public:
-  Reader(const std::string& bytes, const std::string& path)
-      : bytes_(bytes), path_(path) {}
-
-  Status Read(void* dst, size_t size) {
-    if (offset_ + size > bytes_.size()) {
-      return Status::IOError("'" + path_ + "' is truncated");
-    }
-    std::memcpy(dst, bytes_.data() + offset_, size);
-    offset_ += size;
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status ReadScalar(T* value) {
-    return Read(value, sizeof(T));
-  }
-
-  size_t offset() const { return offset_; }
-
- private:
-  const std::string& bytes_;
-  const std::string& path_;
-  size_t offset_ = 0;
-};
+constexpr int32_t kMaxInitMethodBytes = 4096;
 
 }  // namespace
-
-uint32_t Crc32(const void* bytes, size_t size, uint32_t seed) {
-  const auto* p = static_cast<const unsigned char*>(bytes);
-  uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = kCrcTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 ModelArtifact MakeModelArtifact(Matrix centers, ModelMetadata metadata) {
   ModelArtifact artifact;
@@ -119,38 +52,30 @@ Status SaveModel(const ModelArtifact& artifact, const std::string& path,
   // Serialize into memory first: the CRC covers every preceding byte, and
   // a single write keeps a failed save from leaving a file with a valid
   // header but missing payload.
-  std::string buf;
-  buf.reserve(static_cast<size_t>(128 + md.init_method.size() +
+  RecordWriter out;
+  out.Reserve(static_cast<size_t>(128 + md.init_method.size() +
                                   (k * d + k) * 8));
-  Put(&buf, kModelMagic, sizeof(kModelMagic));
-  PutScalar<int32_t>(&buf, kModelVersion);
-  PutScalar<int64_t>(&buf, k);
-  PutScalar<int64_t>(&buf, d);
-  PutScalar<uint32_t>(&buf, 0);  // flags, reserved
-  PutScalar<uint64_t>(&buf, md.seed);
-  PutScalar<int64_t>(&buf, md.lloyd_iterations);
-  PutScalar<int64_t>(&buf, md.trained_rows);
-  PutScalar<double>(&buf, md.seed_cost);
-  PutScalar<double>(&buf, md.final_cost);
-  PutScalar<int32_t>(&buf, static_cast<int32_t>(md.init_method.size()));
-  Put(&buf, md.init_method.data(), md.init_method.size());
-  Put(&buf, artifact.centers.data(),
-      static_cast<size_t>(k * d) * sizeof(double));
-  Put(&buf, artifact.center_norms.data(),
-      static_cast<size_t>(k) * sizeof(double));
-  PutScalar<uint32_t>(&buf, Crc32(buf.data(), buf.size()));
+  out.PutBytes(kModelMagic, sizeof(kModelMagic));
+  out.Put(kModelVersion);
+  out.Put(k);
+  out.Put(d);
+  out.Put<uint32_t>(0);  // flags, reserved
+  out.Put(md.seed);
+  out.Put(md.lloyd_iterations);
+  out.Put(md.trained_rows);
+  out.Put(md.seed_cost);
+  out.Put(md.final_cost);
+  out.PutString(md.init_method);
+  out.PutArray(artifact.centers.data(), k * d);
+  out.PutArray(artifact.center_norms.data(), k);
+  out.PutCrc();
 
   // Crash-safe publish: the complete buffer lands under a temp name, is
   // fsynced, and is renamed over `path` — a crash at any point leaves
   // either the previous model or the new one, never a torn file.
   // Transient write failures (injected or real) are retried in place.
   int64_t retries = 0;
-  Status written = RetryTransient(
-      RetryPolicy{},
-      [&] {
-        return AtomicWriteFile(path, buf.data(), buf.size(), "model.write");
-      },
-      &retries);
+  Status written = PublishFile(path, out.bytes(), "model.write", &retries);
   if (out_retries != nullptr) *out_retries += retries;
   MetricsRegistry::Global()
       .GetCounter("kmll_model_write_retries_total",
@@ -160,25 +85,11 @@ Status SaveModel(const ModelArtifact& artifact, const std::string& path,
 }
 
 Result<ModelArtifact> LoadModel(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IOError("read of '" + path + "' failed");
-  }
-
-  Reader reader(bytes, path);
-  char magic[8];
-  KMEANSLL_RETURN_NOT_OK(reader.Read(magic, sizeof(magic)));
-  if (std::memcmp(magic, kModelMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not a kmeansll model file");
-  }
+  KMEANSLL_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path));
+  RecordReader in(bytes, path);
+  KMEANSLL_RETURN_NOT_OK(in.ExpectMagic(kModelMagic, "model file"));
   int32_t version = 0;
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&version));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&version));
   if (version != kModelVersion) {
     return Status::InvalidArgument(
         "unsupported model version " + std::to_string(version) + " in '" +
@@ -186,9 +97,9 @@ Result<ModelArtifact> LoadModel(const std::string& path) {
   }
   int64_t k = 0, d = 0;
   uint32_t flags = 0;
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&k));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&d));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&flags));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&k));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&d));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&flags));
   if (k <= 0 || d <= 0 || k > (int64_t{1} << 32) ||
       d > (int64_t{1} << 24)) {
     return Status::InvalidArgument("implausible model shape in '" + path +
@@ -197,55 +108,18 @@ Result<ModelArtifact> LoadModel(const std::string& path) {
   if (flags != 0) {
     return Status::InvalidArgument("unknown model flags in '" + path + "'");
   }
-  ModelMetadata md;
-  int32_t name_len = 0;
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&md.seed));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&md.lloyd_iterations));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&md.trained_rows));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&md.seed_cost));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&md.final_cost));
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&name_len));
-  if (name_len < 0 || name_len > kMaxInitMethodBytes) {
-    return Status::InvalidArgument("implausible metadata in '" + path +
-                                   "'");
-  }
-  md.init_method.resize(static_cast<size_t>(name_len));
-  KMEANSLL_RETURN_NOT_OK(
-      reader.Read(md.init_method.data(), md.init_method.size()));
-
-  // The declared shape fixes the exact file size; any surplus bytes are
-  // as suspect as missing ones (a concatenated or overwritten file).
-  const size_t payload_bytes = static_cast<size_t>(k * d + k) * 8;
-  const size_t expected = reader.offset() + payload_bytes + 4;
-  if (bytes.size() < expected) {
-    return Status::IOError("'" + path + "' is truncated");
-  }
-  if (bytes.size() > expected) {
-    return Status::InvalidArgument("'" + path +
-                                   "' has trailing bytes after the model");
-  }
-
   ModelArtifact artifact;
-  artifact.metadata = std::move(md);
-  artifact.centers = Matrix(k, d);
-  KMEANSLL_RETURN_NOT_OK(reader.Read(
-      artifact.centers.data(), static_cast<size_t>(k * d) * 8));
-  artifact.center_norms.resize(static_cast<size_t>(k));
-  KMEANSLL_RETURN_NOT_OK(reader.Read(artifact.center_norms.data(),
-                                     static_cast<size_t>(k) * 8));
-
-  uint32_t stored_crc = 0;
-  KMEANSLL_RETURN_NOT_OK(reader.ReadScalar(&stored_crc));
-  uint32_t actual_crc = Crc32(bytes.data(), bytes.size() - 4);
-  fault::FaultKind injected;
-  if (fault::CheckKind("model.read", &injected) &&
-      injected == fault::FaultKind::kCrcError) {
-    actual_crc ^= 0xDEADBEEFu;  // simulate bit rot caught by the checksum
-  }
-  if (stored_crc != actual_crc) {
-    return Status::InvalidArgument("CRC mismatch in '" + path +
-                                   "': the model file is corrupt");
-  }
+  ModelMetadata& md = artifact.metadata;
+  KMEANSLL_RETURN_NOT_OK(in.Read(&md.seed));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&md.lloyd_iterations));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&md.trained_rows));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&md.seed_cost));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&md.final_cost));
+  KMEANSLL_RETURN_NOT_OK(in.ReadString(kMaxInitMethodBytes, &md.init_method));
+  KMEANSLL_RETURN_NOT_OK(in.ReadMatrix(k, d, &artifact.centers));
+  KMEANSLL_RETURN_NOT_OK(in.ReadArray(k, &artifact.center_norms));
+  KMEANSLL_RETURN_NOT_OK(in.ReadCrc("model", "model.read"));
+  KMEANSLL_RETURN_NOT_OK(in.ExpectEnd("model"));
 
   // Semantic validation: a CRC-clean file can still have been written by
   // a buggy producer. A served model must be finite and self-consistent.

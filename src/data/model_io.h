@@ -13,7 +13,7 @@
 //   | u64 seed | i64 lloyd_iterations | i64 trained_rows
 //   | f64 seed_cost | f64 final_cost | i32 len + init_method bytes
 //   | f64 centers[k*d] | f64 center_norms[k] | u32 crc32
-// The trailing CRC-32 (IEEE, reflected) covers every byte before it, so
+// The trailing CRC-32 (data/record_io.h) covers every byte before it, so
 // any torn write, bit rot, or partial copy is detected at load time, not
 // at query time. Version 1 (the pre-serving SaveCenters layout, no
 // norms/metadata/CRC) is not readable; loads fail with a version error.
@@ -41,7 +41,6 @@
 #ifndef KMEANSLL_DATA_MODEL_IO_H_
 #define KMEANSLL_DATA_MODEL_IO_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -88,12 +87,6 @@ Status SaveModel(const ModelArtifact& artifact, const std::string& path,
 /// CRC mismatch, non-finite coordinates, or stored norms that are not
 /// bitwise the norms of the stored centers.
 Result<ModelArtifact> LoadModel(const std::string& path);
-
-/// CRC-32 (IEEE 802.3, reflected, init/final-xor 0xFFFFFFFF) over
-/// `size` bytes, resumable via `seed` (pass a previous return value to
-/// extend). Exposed so tests and external tooling can recompute the
-/// artifact checksum without reimplementing it.
-uint32_t Crc32(const void* bytes, size_t size, uint32_t seed = 0);
 
 }  // namespace kmeansll::data
 

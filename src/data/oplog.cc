@@ -1,11 +1,10 @@
 #include "data/oplog.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <string_view>
 #include <thread>
-#include <vector>
 
 #if !defined(_WIN32)
 #include <unistd.h>
@@ -15,7 +14,7 @@
 #include "common/file_util.h"
 #include "common/macros.h"
 #include "common/metrics.h"
-#include "data/model_io.h"  // for data::Crc32
+#include "data/record_io.h"
 
 namespace kmeansll::data {
 
@@ -31,20 +30,6 @@ constexpr int64_t kBodyFixedBytes = 16;
 // frame = crc(4) + len(4) + body.
 constexpr int64_t kFrameFixedBytes = 8;
 
-void AppendRaw(std::string* out, const void* bytes, size_t size) {
-  out->append(static_cast<const char*>(bytes), size);
-}
-
-template <typename T>
-void AppendScalar(std::string* out, T value) {
-  AppendRaw(out, &value, sizeof(T));
-}
-
-int64_t RowBytes(int64_t dim, bool has_weights) {
-  return dim * static_cast<int64_t>(sizeof(double)) +
-         (has_weights ? static_cast<int64_t>(sizeof(double)) : 0);
-}
-
 Status FlushAndFsync(std::FILE* f, const std::string& path) {
   if (std::fflush(f) != 0) {
     return Status::IOError("fflush of oplog '" + path + "' failed");
@@ -57,11 +42,79 @@ Status FlushAndFsync(std::FILE* f, const std::string& path) {
   return Status::OK();
 }
 
-bool FileExistsAt(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
+void PutHeader(int64_t dim, bool has_weights, RecordWriter* out) {
+  out->PutBytes(kMagic, sizeof(kMagic));
+  out->Put(kVersion);
+  out->Put(dim);
+  out->Put(has_weights ? kFlagWeights : 0u);
+}
+
+/// Validates the log header against the shape the caller expects.
+Status ReadHeader(RecordReader* in, int64_t dim, bool has_weights) {
+  if (in->remaining() < kHeaderBytes) {
+    return Status::InvalidArgument("'" + in->path() +
+                                   "' is not a kmeansll oplog");
+  }
+  KMEANSLL_RETURN_NOT_OK(in->ExpectMagic(kMagic, "oplog"));
+  int32_t version = 0;
+  int64_t file_dim = 0;
+  uint32_t flags = 0;
+  KMEANSLL_RETURN_NOT_OK(in->Read(&version));
+  KMEANSLL_RETURN_NOT_OK(in->Read(&file_dim));
+  KMEANSLL_RETURN_NOT_OK(in->Read(&flags));
+  if (version != kVersion) {
+    return Status::InvalidArgument("unsupported oplog version in '" +
+                                   in->path() + "'");
+  }
+  if (file_dim != dim || ((flags & kFlagWeights) != 0) != has_weights) {
+    return Status::InvalidArgument("oplog '" + in->path() +
+                                   "' shape disagrees with the request");
+  }
+  return Status::OK();
+}
+
+/// One record frame, decoded in place: the pointers alias the log bytes.
+struct Frame {
+  std::string_view bytes;  // the whole frame: crc | len | body
+  int64_t first_row = 0;
+  int64_t rows = 0;
+  const double* points = nullptr;
+  const double* weights = nullptr;  // null in a weight-less log
+};
+
+/// The one frame decoder, shared by Open's scan, Compact, and Replay.
+/// The length must fit in the bytes left, the CRC over (len || body)
+/// must match when `check_crc`, and the body must hold exactly `rows`
+/// rows of the log's shape.
+Status DecodeFrame(RecordReader* in, int64_t dim, bool has_weights,
+                   bool check_crc, Frame* out) {
+  uint32_t crc = 0, len = 0;
+  const char* body = nullptr;
+  KMEANSLL_RETURN_NOT_OK(in->Read(&crc));
+  KMEANSLL_RETURN_NOT_OK(in->Read(&len));
+  KMEANSLL_RETURN_NOT_OK(in->View(len, &body));
+  if (check_crc && Crc32(body - sizeof(len), sizeof(len) + len) != crc) {
+    return Status::InvalidArgument("oplog '" + in->path() +
+                                   "' record failed its CRC");
+  }
+  RecordReader fields(std::string_view(body, len), in->path());
+  KMEANSLL_RETURN_NOT_OK(fields.Read(&out->first_row));
+  KMEANSLL_RETURN_NOT_OK(fields.Read(&out->rows));
+  if (out->first_row < 0 || out->rows <= 0 ||
+      out->first_row > INT64_MAX - out->rows) {
+    return Status::InvalidArgument("oplog '" + in->path() +
+                                   "' record shape is corrupt");
+  }
+  KMEANSLL_RETURN_NOT_OK(
+      fields.View(CheckedBytes(out->rows, dim), &out->points));
+  out->weights = nullptr;
+  if (has_weights) {
+    KMEANSLL_RETURN_NOT_OK(fields.View(out->rows, &out->weights));
+  }
+  KMEANSLL_RETURN_NOT_OK(fields.ExpectEnd("record"));
+  out->bytes = std::string_view(body - kFrameFixedBytes,
+                                static_cast<size_t>(kFrameFixedBytes) + len);
+  return Status::OK();
 }
 
 }  // namespace
@@ -106,25 +159,18 @@ struct OpLog::Impl {
   std::string BuildFrame(int64_t first_row, int64_t rows,
                          const double* points,
                          const double* weights) const {
-    std::string body;
-    const int64_t payload = rows * RowBytes(dim, options.has_weights);
-    body.reserve(static_cast<size_t>(kBodyFixedBytes + payload));
-    AppendScalar(&body, first_row);
-    AppendScalar(&body, rows);
-    AppendRaw(&body, points,
-              static_cast<size_t>(rows * dim) * sizeof(double));
-    if (options.has_weights) {
-      AppendRaw(&body, weights, static_cast<size_t>(rows) * sizeof(double));
-    }
-    const auto len = static_cast<uint32_t>(body.size());
-    uint32_t crc = Crc32(&len, sizeof(len));
-    crc = Crc32(body.data(), body.size(), crc);
-    std::string frame;
-    frame.reserve(kFrameFixedBytes + body.size());
-    AppendScalar(&frame, crc);
-    AppendScalar(&frame, len);
-    frame.append(body);
-    return frame;
+    const int64_t len = kBodyFixedBytes +
+                        rows * (dim + (options.has_weights ? 1 : 0)) * 8;
+    RecordWriter frame;
+    frame.Reserve(static_cast<size_t>(kFrameFixedBytes + len));
+    frame.Put<uint32_t>(0);  // crc, filled in below
+    frame.Put(static_cast<uint32_t>(len));
+    frame.Put(first_row);
+    frame.Put(rows);
+    frame.PutArray(points, rows * dim);
+    if (options.has_weights) frame.PutArray(weights, rows);
+    frame.PutCrcAt(0);  // over (len || body)
+    return frame.TakeBytes();
   }
 };
 
@@ -140,12 +186,10 @@ Result<OpLog> OpLog::Create(const std::string& path, int64_t dim,
   if (f == nullptr) {
     return Status::IOError("cannot create oplog '" + path + "'");
   }
-  std::string header;
-  AppendRaw(&header, kMagic, sizeof(kMagic));
-  AppendScalar(&header, kVersion);
-  AppendScalar(&header, dim);
-  AppendScalar(&header, options.has_weights ? kFlagWeights : 0u);
-  if (std::fwrite(header.data(), 1, header.size(), f) != header.size()) {
+  RecordWriter header;
+  PutHeader(dim, options.has_weights, &header);
+  if (std::fwrite(header.bytes().data(), 1, header.size(), f) !=
+      header.size()) {
     std::fclose(f);
     return Status::IOError("cannot write oplog header to '" + path + "'");
   }
@@ -165,7 +209,7 @@ Result<OpLog> OpLog::Create(const std::string& path, int64_t dim,
 Result<OpLog> OpLog::Open(const std::string& path, int64_t dim,
                           const OpLogOptions& options) {
   if (dim <= 0) return Status::InvalidArgument("dim must be positive");
-  if (!FileExistsAt(path)) return Create(path, dim, options);
+  if (!FileExists(path)) return Create(path, dim, options);
 
   std::FILE* f = std::fopen(path.c_str(), "rb+");
   if (f == nullptr) {
@@ -177,66 +221,24 @@ Result<OpLog> OpLog::Open(const std::string& path, int64_t dim,
   impl->options = options;
   impl->file = f;  // Impl now owns f; early returns close it
 
-  std::fseek(f, 0, SEEK_END);
-  const int64_t file_size = static_cast<int64_t>(std::ftell(f));
-  std::fseek(f, 0, SEEK_SET);
-
-  char header[kHeaderBytes];
-  if (file_size < kHeaderBytes ||
-      std::fread(header, 1, sizeof(header), f) != sizeof(header) ||
-      std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("'" + path + "' is not a kmeansll oplog");
-  }
-  int32_t version = 0;
-  int64_t file_dim = 0;
-  uint32_t flags = 0;
-  std::memcpy(&version, header + 8, sizeof(version));
-  std::memcpy(&file_dim, header + 12, sizeof(file_dim));
-  std::memcpy(&flags, header + 20, sizeof(flags));
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported oplog version in '" + path +
-                                   "'");
-  }
-  if (file_dim != dim ||
-      ((flags & kFlagWeights) != 0) != options.has_weights) {
-    return Status::InvalidArgument("oplog '" + path +
-                                   "' shape disagrees with the request");
-  }
+  KMEANSLL_ASSIGN_OR_RETURN(std::string log, ReadWholeFile(path));
+  RecordReader in(log, path);
+  KMEANSLL_RETURN_NOT_OK(ReadHeader(&in, dim, options.has_weights));
 
   // Scan: keep the longest valid prefix of whole records, truncate the
-  // rest. Every exit from the loop sets `good_end` to a record
-  // boundary, so the surviving bytes are exactly some uninterrupted
-  // writer's log — the property replay's bitwise contract rests on.
-  const int64_t row_bytes = RowBytes(dim, options.has_weights);
+  // rest. `good_end` only ever advances to a record boundary, so the
+  // surviving bytes are exactly some uninterrupted writer's log — the
+  // property replay's bitwise contract rests on.
+  const auto file_size = static_cast<int64_t>(log.size());
   int64_t good_end = kHeaderBytes;
-  std::vector<char> body;
-  while (good_end < file_size) {
-    const int64_t remaining = file_size - good_end;
-    if (remaining < kFrameFixedBytes) break;  // torn frame header
-    uint32_t crc = 0, len = 0;
-    if (std::fread(&crc, 1, sizeof(crc), f) != sizeof(crc) ||
-        std::fread(&len, 1, sizeof(len), f) != sizeof(len)) {
-      break;
-    }
-    if (len < kBodyFixedBytes ||
-        static_cast<int64_t>(len) > remaining - kFrameFixedBytes) {
-      break;  // torn or corrupt length
-    }
-    body.resize(len);
-    if (std::fread(body.data(), 1, len, f) != len) break;
-    uint32_t actual = Crc32(&len, sizeof(len));
-    actual = Crc32(body.data(), len, actual);
-    if (actual != crc) break;  // torn or corrupt body
-    int64_t first_row = 0, rows = 0;
-    std::memcpy(&first_row, body.data(), sizeof(first_row));
-    std::memcpy(&rows, body.data() + 8, sizeof(rows));
-    if (rows <= 0 || first_row < 0 ||
-        static_cast<int64_t>(len) != kBodyFixedBytes + rows * row_bytes) {
-      break;  // frame checks out but the record is not self-consistent
-    }
-    good_end += kFrameFixedBytes + len;
+  Frame frame;
+  while (in.remaining() > 0 &&
+         DecodeFrame(&in, dim, options.has_weights, /*check_crc=*/true,
+                     &frame)
+             .ok()) {
+    good_end = in.offset();
     ++impl->stats.recovered_records;
-    impl->stats.recovered_rows += rows;
+    impl->stats.recovered_rows += frame.rows;
     MetricsRegistry::Global()
         .GetCounter("kmll_oplog_recovered_records_total",
                     "Intact record frames replayed from oplogs on reopen.")
@@ -382,52 +384,36 @@ Status OpLog::Compact(int64_t min_first_row) {
 
   // Assemble the survivor log in memory: header + surviving frames
   // copied verbatim (same bytes an uninterrupted writer would hold).
-  std::string buf;
-  {
-    std::ifstream in(impl->path, std::ios::binary);
-    if (!in.is_open()) {
-      return Status::IOError("cannot open oplog '" + impl->path +
-                             "' for compaction");
+  auto changed = [impl] {
+    return Status::IOError("oplog '" + impl->path +
+                           "' changed under compaction");
+  };
+  KMEANSLL_ASSIGN_OR_RETURN(std::string log, ReadWholeFile(impl->path));
+  if (static_cast<int64_t>(log.size()) < impl->file_end) return changed();
+  RecordReader in(std::string_view(log).substr(0, impl->file_end),
+                  impl->path);
+  if (!ReadHeader(&in, impl->dim, impl->options.has_weights).ok()) {
+    return changed();
+  }
+  RecordWriter out;
+  out.Reserve(log.size());
+  PutHeader(impl->dim, impl->options.has_weights, &out);
+  Frame frame;
+  while (in.remaining() > 0) {
+    if (!DecodeFrame(&in, impl->dim, impl->options.has_weights,
+                     /*check_crc=*/false, &frame)
+             .ok()) {
+      return changed();
     }
-    std::vector<char> header(kHeaderBytes);
-    in.read(header.data(), kHeaderBytes);
-    if (!in.good()) {
-      return Status::IOError("oplog '" + impl->path +
-                             "' changed under compaction");
-    }
-    buf.append(header.data(), header.size());
-    int64_t offset = kHeaderBytes;
-    std::vector<char> frame;
-    while (offset < impl->file_end) {
-      uint32_t crc = 0, len = 0;
-      in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-      in.read(reinterpret_cast<char*>(&len), sizeof(len));
-      if (!in.good()) {
-        return Status::IOError("oplog '" + impl->path +
-                               "' changed under compaction");
-      }
-      frame.resize(len);
-      in.read(frame.data(), len);
-      if (!in.good()) {
-        return Status::IOError("oplog '" + impl->path +
-                               "' changed under compaction");
-      }
-      int64_t first_row = 0, rows = 0;
-      std::memcpy(&first_row, frame.data(), sizeof(first_row));
-      std::memcpy(&rows, frame.data() + 8, sizeof(rows));
-      // Keep any record with rows PAST the frontier — a batch may
-      // straddle a seal boundary, and its unsealed suffix must survive.
-      if (first_row + rows > min_first_row) {
-        AppendScalar(&buf, crc);
-        AppendScalar(&buf, len);
-        buf.append(frame.data(), frame.size());
-      }
-      offset += kFrameFixedBytes + static_cast<int64_t>(len);
+    // Keep any record with rows PAST the frontier — a batch may
+    // straddle a seal boundary, and its unsealed suffix must survive.
+    if (frame.first_row + frame.rows > min_first_row) {
+      out.PutBytes(frame.bytes.data(), frame.bytes.size());
     }
   }
 
   KMEANSLL_RETURN_NOT_OK(
-      AtomicWriteFile(impl->path, buf.data(), buf.size()));
+      AtomicWriteFile(impl->path, out.bytes().data(), out.size()));
   // The handle still references the pre-rename inode; reopen.
   std::fclose(impl->file);
   impl->file = std::fopen(impl->path.c_str(), "rb+");
@@ -449,54 +435,23 @@ Status OpLog::Replay(int64_t min_first_row, const ReplayFn& fn) const {
   // flush, not fsync — replay reads the OS view, durability unchanged).
   if (impl->file != nullptr) std::fflush(impl->file);
 
-  std::ifstream in(impl->path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open oplog '" + impl->path +
-                           "' for replay");
+  KMEANSLL_ASSIGN_OR_RETURN(std::string log, ReadWholeFile(impl->path));
+  if (static_cast<int64_t>(log.size()) < impl->file_end) {
+    return Status::IOError("oplog '" + impl->path +
+                           "' changed under replay");
   }
-  in.seekg(kHeaderBytes);
-  const int64_t row_bytes = RowBytes(impl->dim, impl->options.has_weights);
-  int64_t offset = kHeaderBytes;
-  std::vector<char> body;
-  while (offset < impl->file_end) {
-    uint32_t crc = 0, len = 0;
-    in.read(reinterpret_cast<char*>(&crc), sizeof(crc));
-    in.read(reinterpret_cast<char*>(&len), sizeof(len));
-    if (!in.good()) {
-      return Status::IOError("oplog '" + impl->path +
-                             "' changed under replay");
-    }
-    body.resize(len);
-    in.read(body.data(), len);
-    if (!in.good()) {
-      return Status::IOError("oplog '" + impl->path +
-                             "' changed under replay");
-    }
-    uint32_t actual = Crc32(&len, sizeof(len));
-    actual = Crc32(body.data(), len, actual);
-    if (actual != crc) {
-      return Status::InvalidArgument("oplog '" + impl->path +
-                                     "' record failed its CRC on replay");
-    }
-    int64_t first_row = 0, rows = 0;
-    std::memcpy(&first_row, body.data(), sizeof(first_row));
-    std::memcpy(&rows, body.data() + 8, sizeof(rows));
-    if (static_cast<int64_t>(len) != kBodyFixedBytes + rows * row_bytes) {
-      return Status::InvalidArgument("oplog '" + impl->path +
-                                     "' record shape is corrupt");
-    }
-    offset += kFrameFixedBytes + static_cast<int64_t>(len);
-    if (first_row < min_first_row) continue;  // sealed already
-    const auto* points =
-        reinterpret_cast<const double*>(body.data() + kBodyFixedBytes);
-    const double* weights =
-        impl->options.has_weights
-            ? reinterpret_cast<const double*>(body.data() + kBodyFixedBytes +
-                                              rows * impl->dim *
-                                                  static_cast<int64_t>(
-                                                      sizeof(double)))
-            : nullptr;
-    KMEANSLL_RETURN_NOT_OK(fn(first_row, rows, points, weights));
+  RecordReader in(std::string_view(log).substr(0, impl->file_end),
+                  impl->path);
+  KMEANSLL_RETURN_NOT_OK(
+      ReadHeader(&in, impl->dim, impl->options.has_weights));
+  Frame frame;
+  while (in.remaining() > 0) {
+    KMEANSLL_RETURN_NOT_OK(DecodeFrame(&in, impl->dim,
+                                       impl->options.has_weights,
+                                       /*check_crc=*/true, &frame));
+    if (frame.first_row < min_first_row) continue;  // sealed already
+    KMEANSLL_RETURN_NOT_OK(
+        fn(frame.first_row, frame.rows, frame.points, frame.weights));
   }
   return Status::OK();
 }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <map>
@@ -21,14 +20,13 @@
 #endif
 
 #include "common/fault_injection.h"
-#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/math_util.h"
 #include "common/metrics.h"
 #include "common/retry.h"
 #include "common/trace.h"
 #include "data/binary_io.h"
-#include "data/model_io.h"  // for data::Crc32
+#include "data/record_io.h"
 
 namespace kmeansll::data {
 
@@ -85,29 +83,8 @@ const ShardStoreMetrics& ShardMetrics() {
 
 constexpr char kManifestMagic[8] = {'K', 'M', 'L', 'L', 'S', 'H', 'R', 'D'};
 constexpr int32_t kManifestVersion = 1;
-
-// KMLLDATA shard header (see data/binary_io.cc): magic(8) + version(4) +
-// n(8) + d(8) + flags(4). Version 2 shards end with a uint32 CRC-32
-// over every preceding file byte; version 1 shards (no checksum) are
-// still accepted, so datasets written before the bump keep opening.
-constexpr int64_t kShardHeaderBytes = 32;
-constexpr char kShardMagic[8] = {'K', 'M', 'L', 'L', 'D', 'A', 'T', 'A'};
-constexpr int32_t kShardVersion = 2;
-constexpr int32_t kShardMinVersion = 1;
-constexpr uint32_t kFlagWeights = 1u << 0;
-constexpr uint32_t kFlagLabels = 1u << 1;
-constexpr uint32_t kFlagPayloadCrc = 1u << 2;
-
-/// Bytes a shard file must hold for `rows` rows of the manifest's shape.
-int64_t ShardFileBytes(int64_t rows, int64_t dim, bool weights,
-                       bool labels, bool payload_crc) {
-  int64_t bytes = kShardHeaderBytes +
-                  rows * dim * static_cast<int64_t>(sizeof(double));
-  if (weights) bytes += rows * static_cast<int64_t>(sizeof(double));
-  if (labels) bytes += rows * static_cast<int64_t>(sizeof(int32_t));
-  if (payload_crc) bytes += static_cast<int64_t>(sizeof(uint32_t));
-  return bytes;
-}
+constexpr uint32_t kManifestWeights = 1u << 0;
+constexpr uint32_t kManifestLabels = 1u << 1;
 
 /// Directory prefix of `path` including the trailing separator ("" when
 /// the path has no directory component).
@@ -122,21 +99,6 @@ std::string BaseNameOf(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-int64_t FileSizeOf(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.is_open()) return -1;
-  return static_cast<int64_t>(in.tellg());
-}
-
-void AppendRaw(std::string* out, const void* bytes, size_t size) {
-  out->append(static_cast<const char*>(bytes), size);
-}
-
-template <typename T>
-void AppendScalar(std::string* out, T value) {
-  AppendRaw(out, &value, sizeof(T));
-}
-
 /// Writes the KMLLSHRD manifest file for `manifest`. Shared by
 /// WriteShards and ShardWriter::Finalize so the two producers cannot
 /// drift apart on the format. The manifest is the commit point of a
@@ -147,27 +109,21 @@ void AppendScalar(std::string* out, T value) {
 /// one, never a torn shard table.
 Status WriteManifestFile(const std::string& manifest_path,
                          const ShardManifest& manifest) {
-  std::string buf;
-  AppendRaw(&buf, kManifestMagic, sizeof(kManifestMagic));
-  int32_t version = kManifestVersion;
   uint32_t flags = 0;
-  if (manifest.has_weights) flags |= kFlagWeights;
-  if (manifest.has_labels) flags |= kFlagLabels;
-  auto num_shards = static_cast<int32_t>(manifest.shards.size());
-  AppendScalar(&buf, version);
-  AppendScalar(&buf, manifest.n);
-  AppendScalar(&buf, manifest.dim);
-  AppendScalar(&buf, flags);
-  AppendScalar(&buf, num_shards);
+  if (manifest.has_weights) flags |= kManifestWeights;
+  if (manifest.has_labels) flags |= kManifestLabels;
+  RecordWriter out;
+  out.PutBytes(kManifestMagic, sizeof(kManifestMagic));
+  out.Put(kManifestVersion);
+  out.Put(manifest.n);
+  out.Put(manifest.dim);
+  out.Put(flags);
+  out.Put(static_cast<int32_t>(manifest.shards.size()));
   for (const ShardInfo& info : manifest.shards) {
-    AppendScalar(&buf, info.rows);
-    AppendScalar(&buf, static_cast<int32_t>(info.file.size()));
-    AppendRaw(&buf, info.file.data(), info.file.size());
+    out.Put(info.rows);
+    out.PutString(info.file);
   }
-  return RetryTransient(RetryPolicy{}, [&] {
-    return AtomicWriteFile(manifest_path, buf.data(), buf.size(),
-                           "manifest.write");
-  });
+  return PublishFile(manifest_path, out.bytes(), "manifest.write");
 }
 
 }  // namespace
@@ -223,28 +179,19 @@ Result<ShardManifest> WriteShards(const Dataset& dataset,
 }
 
 Result<ShardManifest> ReadShardManifest(const std::string& manifest_path) {
-  std::ifstream in(manifest_path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IOError("cannot open '" + manifest_path +
-                           "' for reading");
-  }
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good() ||
-      std::memcmp(magic, kManifestMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("'" + manifest_path +
-                                   "' is not a kmeansll shard manifest");
-  }
+  KMEANSLL_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(manifest_path));
+  RecordReader in(bytes, manifest_path);
+  KMEANSLL_RETURN_NOT_OK(in.ExpectMagic(kManifestMagic, "shard manifest"));
   int32_t version = 0;
   int32_t num_shards = 0;
   uint32_t flags = 0;
   ShardManifest manifest;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&manifest.n), sizeof(manifest.n));
-  in.read(reinterpret_cast<char*>(&manifest.dim), sizeof(manifest.dim));
-  in.read(reinterpret_cast<char*>(&flags), sizeof(flags));
-  in.read(reinterpret_cast<char*>(&num_shards), sizeof(num_shards));
-  if (!in.good() || version != kManifestVersion) {
+  KMEANSLL_RETURN_NOT_OK(in.Read(&version));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&manifest.n));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&manifest.dim));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&flags));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&num_shards));
+  if (version != kManifestVersion) {
     return Status::InvalidArgument("unsupported shard manifest version in '" +
                                    manifest_path + "'");
   }
@@ -255,23 +202,18 @@ Result<ShardManifest> ReadShardManifest(const std::string& manifest_path) {
     return Status::InvalidArgument("implausible shard manifest shape in '" +
                                    manifest_path + "'");
   }
-  manifest.has_weights = (flags & kFlagWeights) != 0;
-  manifest.has_labels = (flags & kFlagLabels) != 0;
+  manifest.has_weights = (flags & kManifestWeights) != 0;
+  manifest.has_labels = (flags & kManifestLabels) != 0;
 
   int64_t next_row = 0;
   for (int32_t s = 0; s < num_shards; ++s) {
     ShardInfo info;
-    int32_t len = 0;
-    in.read(reinterpret_cast<char*>(&info.rows), sizeof(info.rows));
-    in.read(reinterpret_cast<char*>(&len), sizeof(len));
-    if (!in.good() || info.rows <= 0 || len <= 0 || len > (1 << 16)) {
+    KMEANSLL_RETURN_NOT_OK(in.Read(&info.rows));
+    KMEANSLL_RETURN_NOT_OK(in.ReadString(1 << 16, &info.file));
+    if (info.rows <= 0 || info.rows > manifest.n - next_row ||
+        info.file.empty()) {
       return Status::InvalidArgument("corrupt shard table in '" +
                                      manifest_path + "'");
-    }
-    info.file.resize(static_cast<size_t>(len));
-    in.read(info.file.data(), len);
-    if (!in.good()) {
-      return Status::IOError("'" + manifest_path + "' is truncated");
     }
     info.first_row = next_row;
     next_row += info.rows;
@@ -315,30 +257,12 @@ struct ShardWriter::Impl {
     // a crash mid-flush leaves no file under the shard's name, so a
     // later writer restart cannot be confused by a torn shard (and the
     // manifest — the commit point — hasn't referenced it yet anyway).
-    const std::string path = dir + info.file;
-    std::string buf;
-    buf.reserve(static_cast<size_t>(
-        ShardFileBytes(info.rows, manifest.dim, options.has_weights,
-                       options.has_labels, /*payload_crc=*/true)));
-    AppendRaw(&buf, kShardMagic, sizeof(kShardMagic));
-    uint32_t flags = kFlagPayloadCrc;
-    if (options.has_weights) flags |= kFlagWeights;
-    if (options.has_labels) flags |= kFlagLabels;
-    AppendScalar(&buf, kShardVersion);
-    AppendScalar(&buf, info.rows);
-    AppendScalar(&buf, manifest.dim);
-    AppendScalar(&buf, flags);
-    AppendRaw(&buf, points.data(), points.size() * sizeof(double));
-    if (options.has_weights) {
-      AppendRaw(&buf, weights.data(), weights.size() * sizeof(double));
-    }
-    if (options.has_labels) {
-      AppendRaw(&buf, labels.data(), labels.size() * sizeof(int32_t));
-    }
-    AppendScalar(&buf, Crc32(buf.data(), buf.size()));
-    KMEANSLL_RETURN_NOT_OK(RetryTransient(RetryPolicy{}, [&] {
-      return AtomicWriteFile(path, buf.data(), buf.size(), "shard.write");
-    }));
+    RecordWriter shard;
+    PutDataset(info.rows, manifest.dim, points.data(),
+               options.has_weights ? weights.data() : nullptr,
+               options.has_labels ? labels.data() : nullptr, &shard);
+    KMEANSLL_RETURN_NOT_OK(
+        PublishFile(dir + info.file, shard.bytes(), "shard.write"));
     manifest.n += buffered_rows;
     manifest.shards.push_back(std::move(info));
     points.clear();
@@ -577,21 +501,13 @@ struct ShardedDataset::Impl {
   /// it surfaces as InvalidArgument (which RetryTransient does NOT
   /// retry) and the caller unmaps: corrupt bytes are never served.
   static Status VerifyPayloadCrc(const Shard& shard, const char* base) {
-    const size_t body =
-        static_cast<size_t>(shard.file_bytes) - sizeof(uint32_t);
-    uint32_t stored = 0;
-    std::memcpy(&stored, base + body, sizeof(stored));
-    uint32_t actual = Crc32(base, body);
-    fault::FaultKind kind;
-    if (fault::CheckKind("shard.crc", &kind) &&
-        kind == fault::FaultKind::kCrcError) {
-      actual ^= 0x5f3759dfu;  // simulate silent payload corruption
-    }
-    if (stored != actual) {
-      return Status::InvalidArgument("payload CRC mismatch in shard '" +
-                                     shard.path + "'");
-    }
-    return Status::OK();
+    RecordReader mapped(
+        std::string_view(base, static_cast<size_t>(shard.file_bytes)),
+        shard.path);
+    const char* body = nullptr;
+    KMEANSLL_RETURN_NOT_OK(
+        mapped.View(shard.file_bytes - int64_t{sizeof(uint32_t)}, &body));
+    return mapped.ReadCrc("payload", "shard.crc");
   }
 
   /// Maps the file behind `shard` read-only into *out_base. Pure I/O on
@@ -917,7 +833,7 @@ struct ShardedDataset::Impl {
           static_cast<size_t>(shard.file_bytes));  // value-init: zeros
       if (manifest.has_weights) {
         auto* weights = reinterpret_cast<double*>(
-            slot.get() + kShardHeaderBytes +
+            slot.get() + kDatasetHeaderBytes +
             shard.rows * manifest.dim *
                 static_cast<int64_t>(sizeof(double)));
         std::fill_n(weights, shard.rows, 1.0);
@@ -949,52 +865,22 @@ Result<ShardedDataset> ShardedDataset::Open(
     shard.first_row = info.first_row;
 
     // Validate the shard header and size now: a corrupt or truncated
-    // shard fails Open instead of a mid-scan pin.
-    std::ifstream in(shard.path, std::ios::binary);
-    if (!in.is_open()) {
-      return Status::IOError("cannot open shard '" + shard.path + "'");
-    }
-    char magic[8];
-    int32_t version = 0;
-    int64_t rows = 0, dim = 0;
-    uint32_t flags = 0;
-    in.read(magic, sizeof(magic));
-    if (!in.good() || std::memcmp(magic, kShardMagic, sizeof(magic)) != 0) {
-      return Status::InvalidArgument("shard '" + shard.path +
-                                     "' is not a kmeansll dataset file");
-    }
-    in.read(reinterpret_cast<char*>(&version), sizeof(version));
-    in.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-    in.read(reinterpret_cast<char*>(&dim), sizeof(dim));
-    in.read(reinterpret_cast<char*>(&flags), sizeof(flags));
-    if (!in.good() || version < kShardMinVersion ||
-        version > kShardVersion) {
-      return Status::InvalidArgument("unsupported shard version in '" +
-                                     shard.path + "'");
-    }
-    shard.has_crc = version >= 2 && (flags & kFlagPayloadCrc) != 0;
-    shard.file_bytes =
-        ShardFileBytes(info.rows, manifest.dim, manifest.has_weights,
-                       manifest.has_labels, shard.has_crc);
-    uint32_t expected_flags = 0;
-    if (manifest.has_weights) expected_flags |= kFlagWeights;
-    if (manifest.has_labels) expected_flags |= kFlagLabels;
-    // The payload-CRC bit is a per-shard property (an appended dataset
-    // may mix v1 and v2 shards), not a manifest-level one.
-    if (rows != info.rows || dim != manifest.dim ||
-        (flags & ~kFlagPayloadCrc) != expected_flags) {
+    // shard fails Open instead of a mid-scan pin. The payload-CRC bit is
+    // a per-shard property (an appended dataset may mix v1 and v2
+    // shards), not a manifest-level one.
+    KMEANSLL_ASSIGN_OR_RETURN(RecordReader in,
+                              RecordReader::OpenFile(shard.path));
+    KMEANSLL_ASSIGN_OR_RETURN(DatasetHeader header, ReadDatasetHeader(&in));
+    if (header.n != info.rows || header.dim != manifest.dim ||
+        header.has_weights != manifest.has_weights ||
+        header.has_labels != manifest.has_labels) {
       return Status::InvalidArgument(
-          "shard '" + shard.path + "' header (rows=" + std::to_string(rows) +
-          ", dim=" + std::to_string(dim) +
-          ", flags=" + std::to_string(flags) +
+          "shard '" + shard.path + "' header (rows=" +
+          std::to_string(header.n) + ", dim=" + std::to_string(header.dim) +
           ") disagrees with the manifest");
     }
-    int64_t actual_bytes = FileSizeOf(shard.path);
-    if (actual_bytes < shard.file_bytes) {
-      return Status::IOError("shard '" + shard.path + "' is truncated (" +
-                             std::to_string(actual_bytes) + " bytes, need " +
-                             std::to_string(shard.file_bytes) + ")");
-    }
+    shard.has_crc = header.has_crc;
+    shard.file_bytes = header.file_bytes;
     impl->shards.push_back(std::move(shard));
   }
   impl->manifest = std::move(manifest);
@@ -1173,7 +1059,7 @@ PinnedBlock ShardedDataset::Pin(int64_t begin, int64_t end) const {
       std::min(end - shard.first_row, shard.rows);
   const int64_t d = impl->manifest.dim;
 
-  const char* cursor = base + kShardHeaderBytes;
+  const char* cursor = base + kDatasetHeaderBytes;
   const auto* points = reinterpret_cast<const double*>(cursor);
   cursor += shard.rows * d * static_cast<int64_t>(sizeof(double));
   const double* weights = nullptr;

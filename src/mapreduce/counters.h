@@ -74,9 +74,6 @@ inline constexpr char kCounterJobs[] = "jobs";
 inline constexpr char kCounterDataPasses[] = "data_passes";
 inline constexpr char kCounterTaskRetries[] = "map_task_retries";
 inline constexpr char kCounterTaskFailures[] = "map_task_failures";
-inline constexpr char kCounterSpeculativeTasks[] = "speculative_map_tasks";
-inline constexpr char kCounterDroppedDuplicates[] =
-    "dropped_duplicate_completions";
 
 }  // namespace kmeansll::mapreduce
 

@@ -114,16 +114,6 @@ class Job {
     max_task_attempts_ = attempts;
     return *this;
   }
-  /// Straggler re-execution: submit a speculative duplicate of every
-  /// map task after the primaries. A duplicate that starts after its
-  /// task already completed exits immediately; when both run, the first
-  /// completion installs its result and the loser's is dropped
-  /// (install-first-wins on a per-task atomic), so duplicate completion
-  /// is safe and results stay bitwise identical.
-  Job& WithSpeculativeExecution(bool enabled) {
-    speculative_ = enabled;
-    return *this;
-  }
   /// Error channel: when any task exhausts its attempt budget, the
   /// first such failure is stored in `*status`, Run returns an empty
   /// output vector, and nothing reduces. Without an error channel a
@@ -156,25 +146,15 @@ class Job {
         combine_ != nullptr ? partitions.size() : 0);
     std::vector<int64_t> task_pairs(partitions.size(), 0);
 
-    // Fault-tolerance state. `installed[t]` is the per-task commit
-    // point: exactly one attempt (primary, retry, or speculative
-    // duplicate) wins the exchange and publishes its emissions; every
-    // other completion is dropped. pool->Wait() is the barrier that
-    // makes the winner's writes visible to the shuffle.
-    std::vector<std::atomic<bool>> installed(partitions.size());
+    // Fault-tolerance state. Each task installs the emissions of its
+    // one successful attempt; pool->Wait() is the barrier that makes
+    // them visible to the shuffle.
     std::atomic<int64_t> task_retries{0};
     std::atomic<int64_t> task_failures{0};
-    std::atomic<int64_t> speculative_runs{0};
-    std::atomic<int64_t> dropped_duplicates{0};
     std::mutex fail_mu;
     Status first_failure;
 
     auto install_result = [&](int64_t t, Emitter<K, V>&& scratch) {
-      if (installed[static_cast<size_t>(t)].exchange(
-              true, std::memory_order_acq_rel)) {
-        dropped_duplicates.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
       auto& emitter = emitters[static_cast<size_t>(t)];
       emitter.pairs() = std::move(scratch.pairs());
       task_pairs[static_cast<size_t>(t)] =
@@ -192,10 +172,6 @@ class Job {
     auto run_map_task = [&](int64_t t) {
       const int attempts = max_task_attempts_ < 1 ? 1 : max_task_attempts_;
       for (int attempt = 1; attempt <= attempts; ++attempt) {
-        if (installed[static_cast<size_t>(t)].load(
-                std::memory_order_acquire)) {
-          return;  // another attempt (a speculative twin) already won
-        }
         // A fresh emitter per attempt: a failed attempt's partial
         // emissions never leak into the fold.
         Emitter<K, V> scratch;
@@ -245,24 +221,6 @@ class Job {
         const int64_t t = task_at(p);
         pool->Submit([&run_map_task, t] { run_map_task(t); });
       }
-      if (speculative_) {
-        // Speculative wave, submitted after every primary: each
-        // duplicate re-executes its task only if the primary hasn't
-        // finished by the time a worker picks it up (the classic
-        // straggler mitigation). Safe because completion is
-        // install-first-wins.
-        for (int64_t p = 0; p < num_tasks; ++p) {
-          const int64_t t = task_at(p);
-          pool->Submit([&run_map_task, &installed, &speculative_runs, t] {
-            if (installed[static_cast<size_t>(t)].load(
-                    std::memory_order_acquire)) {
-              return;
-            }
-            speculative_runs.fetch_add(1, std::memory_order_relaxed);
-            run_map_task(t);
-          });
-        }
-      }
       pool->Wait();
     }
 
@@ -271,10 +229,6 @@ class Job {
                      task_retries.load(std::memory_order_relaxed));
       counters_->Add(kCounterTaskFailures,
                      task_failures.load(std::memory_order_relaxed));
-      counters_->Add(kCounterSpeculativeTasks,
-                     speculative_runs.load(std::memory_order_relaxed));
-      counters_->Add(kCounterDroppedDuplicates,
-                     dropped_duplicates.load(std::memory_order_relaxed));
     }
     if (!first_failure.ok()) {
       if (error_out_ != nullptr) {
@@ -361,7 +315,6 @@ class Job {
   std::vector<int64_t> submission_order_;  // empty = ascending
   Counters* counters_ = nullptr;
   int max_task_attempts_ = 3;
-  bool speculative_ = false;
   Status* error_out_ = nullptr;  // borrowed; null = abort on failure
 };
 

@@ -1,17 +1,14 @@
 #include "serving/freshness.h"
 
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "clustering/cost.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
-#include "common/retry.h"
 #include "common/trace.h"
-#include "data/model_io.h"
+#include "data/record_io.h"
 #include "rng/rng.h"
 #include "rng/splitmix64.h"
 
@@ -52,17 +49,41 @@ const RefineMetrics& GetRefineMetrics() {
   return *m;
 }
 
-template <typename T>
-void AppendScalar(std::string* buf, T value) {
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
+/// The loop state a KMLLFRSH checkpoint carries.
+struct LoopCheckpoint {
+  int64_t cycle = 0;
+  int64_t watermark = 0;
+  double ewma = 0;
+  Matrix centers;
+  std::vector<double> cost_history;
+};
 
-template <typename T>
-bool ReadScalar(const char** cursor, const char* end, T* value) {
-  if (end - *cursor < static_cast<ptrdiff_t>(sizeof(T))) return false;
-  std::memcpy(value, *cursor, sizeof(T));
-  *cursor += sizeof(T);
-  return true;
+/// Decodes a KMLLFRSH checkpoint; any error means a stale or torn file.
+Result<LoopCheckpoint> DecodeCheckpoint(std::string_view bytes,
+                                        const std::string& path,
+                                        uint64_t fingerprint) {
+  data::RecordReader in(bytes, path);
+  KMEANSLL_RETURN_NOT_OK(in.ExpectMagic(kMagic, "freshness checkpoint"));
+  int32_t version = 0;
+  uint64_t stored_fingerprint = 0;
+  int64_t k = 0, d = 0, history_len = 0;
+  LoopCheckpoint out;
+  KMEANSLL_RETURN_NOT_OK(in.Read(&version));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&stored_fingerprint));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&out.cycle));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&out.watermark));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&out.ewma));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&k));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&d));
+  KMEANSLL_RETURN_NOT_OK(in.Read(&history_len));
+  if (version != kVersion || stored_fingerprint != fingerprint) {
+    return Status::InvalidArgument("foreign freshness checkpoint");
+  }
+  KMEANSLL_RETURN_NOT_OK(in.ReadMatrix(k, d, &out.centers));
+  KMEANSLL_RETURN_NOT_OK(in.ReadArray(history_len, &out.cost_history));
+  KMEANSLL_RETURN_NOT_OK(in.ReadCrc("freshness checkpoint"));
+  KMEANSLL_RETURN_NOT_OK(in.ExpectEnd("freshness checkpoint"));
+  return out;
 }
 
 }  // namespace
@@ -86,29 +107,24 @@ uint64_t RefineLoop::Fingerprint() const {
 
 Status RefineLoop::WriteCheckpointLocked(const Matrix& centers) {
   if (options_.checkpoint_path.empty()) return Status::OK();
-  std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  AppendScalar(&buf, kVersion);
-  AppendScalar(&buf, Fingerprint());
-  AppendScalar(&buf, cycle_);
-  AppendScalar(&buf, watermark_);
-  AppendScalar(&buf, ewma_);
-  AppendScalar(&buf, centers.rows());
-  AppendScalar(&buf, centers.cols());
-  AppendScalar(&buf, static_cast<int64_t>(cost_history_.size()));
-  buf.append(reinterpret_cast<const char*>(centers.data()),
-             static_cast<size_t>(centers.size()) * sizeof(double));
-  buf.append(reinterpret_cast<const char*>(cost_history_.data()),
-             cost_history_.size() * sizeof(double));
-  AppendScalar(&buf, data::Crc32(buf.data(), buf.size()));
+  data::RecordWriter out;
+  out.PutBytes(kMagic, sizeof(kMagic));
+  out.Put(kVersion);
+  out.Put(Fingerprint());
+  out.Put(cycle_);
+  out.Put(watermark_);
+  out.Put(ewma_);
+  out.Put(centers.rows());
+  out.Put(centers.cols());
+  out.Put(static_cast<int64_t>(cost_history_.size()));
+  out.PutArray(centers.data(), centers.size());
+  out.PutArray(cost_history_.data(),
+               static_cast<int64_t>(cost_history_.size()));
+  out.PutCrc();
   const int64_t retries_before = stats_.checkpoint_retries;
-  Status written = RetryTransient(
-      RetryPolicy{},
-      [&] {
-        return AtomicWriteFile(options_.checkpoint_path, buf.data(),
-                               buf.size(), "freshness.checkpoint");
-      },
-      &stats_.checkpoint_retries);
+  Status written =
+      data::PublishFile(options_.checkpoint_path, out.bytes(),
+                        "freshness.checkpoint", &stats_.checkpoint_retries);
   GetRefineMetrics().checkpoint_retries->Increment(
       stats_.checkpoint_retries - retries_before);
   return written;
@@ -120,69 +136,28 @@ Status RefineLoop::Recover() {
       !FileExists(options_.checkpoint_path)) {
     return Status::OK();
   }
-  std::ifstream in(options_.checkpoint_path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open freshness checkpoint '" +
-                           options_.checkpoint_path + "'");
-  }
-  std::string buf((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    return Status::IOError("cannot read freshness checkpoint '" +
-                           options_.checkpoint_path + "'");
-  }
-
-  // Validation failures below mean a stale or torn artifact: ignore it
-  // and start fresh (the same never-trust-a-bad-checkpoint policy as
+  KMEANSLL_ASSIGN_OR_RETURN(std::string bytes,
+                            data::ReadWholeFile(options_.checkpoint_path));
+  // A decode failure means a stale or torn artifact: ignore it and start
+  // fresh (the same never-trust-a-bad-checkpoint policy as
   // data/checkpoint_io.h), never resume from garbage.
-  const char* cursor = buf.data();
-  const char* end = buf.data() + buf.size();
-  if (buf.size() < sizeof(kMagic) + sizeof(uint32_t) ||
-      std::memcmp(cursor, kMagic, sizeof(kMagic)) != 0) {
-    return Status::OK();
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, end - sizeof(uint32_t), sizeof(uint32_t));
-  if (data::Crc32(buf.data(), buf.size() - sizeof(uint32_t)) !=
-      stored_crc) {
-    return Status::OK();
-  }
-  cursor += sizeof(kMagic);
-  end -= sizeof(uint32_t);
-  int32_t version = 0;
-  uint64_t fingerprint = 0;
-  int64_t cycle = 0, watermark = 0, k = 0, d = 0, history_len = 0;
-  double ewma = 0;
-  if (!ReadScalar(&cursor, end, &version) || version != kVersion ||
-      !ReadScalar(&cursor, end, &fingerprint) ||
-      fingerprint != Fingerprint() ||
-      !ReadScalar(&cursor, end, &cycle) ||
-      !ReadScalar(&cursor, end, &watermark) ||
-      !ReadScalar(&cursor, end, &ewma) ||
-      !ReadScalar(&cursor, end, &k) || !ReadScalar(&cursor, end, &d) ||
-      !ReadScalar(&cursor, end, &history_len) || k <= 0 || d <= 0 ||
-      history_len < 0 ||
-      end - cursor !=
-          static_cast<ptrdiff_t>((k * d + history_len) * sizeof(double))) {
-    return Status::OK();
-  }
-  Matrix centers(k, d);
-  std::memcpy(centers.data(), cursor,
-              static_cast<size_t>(k * d) * sizeof(double));
-  cursor += k * d * sizeof(double);
-  std::vector<double> history(static_cast<size_t>(history_len));
-  std::memcpy(history.data(), cursor, history.size() * sizeof(double));
+  Result<LoopCheckpoint> decoded =
+      DecodeCheckpoint(bytes, options_.checkpoint_path, Fingerprint());
+  if (!decoded.ok()) return Status::OK();
+  LoopCheckpoint checkpoint = std::move(decoded).ValueOrDie();
 
   // Republish first: if the crash hit between checkpoint and publish,
   // this is the half that is missing; if it hit after, republishing the
   // same centers is harmless (version bumps, contents identical).
   Status published = server_->Refine(
-      [&](const CenterIndex&) -> Result<Matrix> { return centers; });
+      [&](const CenterIndex&) -> Result<Matrix> {
+        return checkpoint.centers;
+      });
   if (!published.ok()) return published;
-  cycle_ = cycle;
-  watermark_ = watermark;
-  ewma_ = ewma;
-  cost_history_ = std::move(history);
+  cycle_ = checkpoint.cycle;
+  watermark_ = checkpoint.watermark;
+  ewma_ = checkpoint.ewma;
+  cost_history_ = std::move(checkpoint.cost_history);
   ++stats_.recoveries;
   stats_.last_cost_per_point =
       cost_history_.empty() ? 0 : cost_history_.back();

@@ -153,6 +153,31 @@ TEST(BinaryIoTest, Version1FilesWithoutCrcStayReadable) {
   std::remove(path.c_str());
 }
 
+TEST(BinaryIoTest, HugeDeclaredShapeFailsBeforeAllocating) {
+  // A 36-byte file whose header declares n = 2^30, d = 1024 (8 TiB of
+  // points) and then ends: the declared payload is checked against the
+  // file size before the matrix is allocated, so the read fails cleanly.
+  std::string path = TempPath("kmeansll_huge_header.bin");
+  {
+    FILE* f = fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const int32_t version = 2;
+    const int64_t n = int64_t{1} << 30, d = 1024;
+    const uint32_t flags = 1u << 2, crc = 0;
+    fwrite("KMLLDATA", 1, 8, f);
+    fwrite(&version, sizeof(version), 1, f);
+    fwrite(&n, sizeof(n), 1, f);
+    fwrite(&d, sizeof(d), 1, f);
+    fwrite(&flags, sizeof(flags), 1, f);
+    fwrite(&crc, sizeof(crc), 1, f);
+    fclose(f);
+  }
+  auto loaded = ReadBinary(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status();
+  std::remove(path.c_str());
+}
+
 TEST(DatasetBuilderTest, WithWeightsAndLabelsValidates) {
   Matrix points = Matrix::FromValues(2, 1, {1, 2});
   EXPECT_FALSE(

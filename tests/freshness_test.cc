@@ -332,6 +332,52 @@ TEST(RefineLoopTest, CorruptOrForeignCheckpointIgnored) {
   }
 }
 
+TEST(RefineLoopTest, CheckpointWithOverflowingShapeIgnored) {
+  // A crafted checkpoint with a valid CRC and this loop's fingerprint
+  // declares k = 2^62 centers of d = 1 and no payload: (k*d)*8 wraps to
+  // 0 bytes in int64, so an unchecked size rule would accept it and
+  // allocate k rows. Recover() must ignore it like any bad checkpoint.
+  FaultGuard guard;
+  LiveDataset live = OpenLive(TempPath("overflow"));
+  const std::string ckpt = TempPath("overflow.frsh");
+  RefineLoopOptions options = SmallLoopOptions();
+  options.checkpoint_path = ckpt;
+  {
+    std::string buf("KMLLFRSH", 8);
+    auto put = [&buf](const auto& value) {
+      buf.append(reinterpret_cast<const char*>(&value), sizeof(value));
+    };
+    put(int32_t{1});
+    put(rng::HashCombine(options.seed, static_cast<uint64_t>(kDim)));
+    put(int64_t{1});           // cycle
+    put(int64_t{24});          // watermark
+    put(1.0);                  // ewma
+    put(int64_t{1} << 62);     // k
+    put(int64_t{1});           // d
+    put(int64_t{0});           // history_len
+    // Bitwise CRC-32 over every preceding byte.
+    uint32_t crc = 0xFFFFFFFFu;
+    for (char byte : buf) {
+      crc ^= static_cast<unsigned char>(byte);
+      for (int b = 0; b < 8; ++b) {
+        crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    put(crc ^ 0xFFFFFFFFu);
+    std::FILE* f = std::fopen(ckpt.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
+    std::fclose(f);
+  }
+  ModelServer server(CenterIndex::Build(InitialCenters()));
+  const uint64_t v0 = server.published_version();
+  RefineLoop loop(&server, &live, options);
+  ASSERT_TRUE(loop.Recover().ok());
+  EXPECT_EQ(loop.stats().recoveries, 0);
+  EXPECT_EQ(server.published_version(), v0);
+  std::remove(ckpt.c_str());
+}
+
 TEST(RefineLoopTest, RefineFaultCountsFailureAndRecovers) {
   FaultGuard guard;
   LiveDataset live = OpenLive(TempPath("refine_fault"));

@@ -16,6 +16,7 @@
 
 #include "core/kmeans.h"
 #include "data/model_io.h"
+#include "data/record_io.h"
 #include "matrix/matrix.h"
 #include "rng/rng.h"
 

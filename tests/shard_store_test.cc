@@ -269,6 +269,45 @@ TEST(ShardFormatTest, ShardHeaderMismatchFails) {
   EXPECT_FALSE(ShardedDataset::Open(manifest).ok());
 }
 
+TEST(ShardFormatTest, OverflowingShardShapeFailsAtOpen) {
+  // A manifest and a 36-byte shard that agree on n = 2^40 rows of
+  // dim = 2^24: rows * dim * 8 overflows int64, so an unchecked size
+  // rule would accept the shard and a Pin would read past its mapping.
+  const int64_t n = int64_t{1} << 40, dim = int64_t{1} << 24;
+  const std::string manifest = TempPath("overflow.kml");
+  const std::string shard = "kmll_shard_overflow.kml.shard0";
+  {
+    std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
+    const int32_t version = 1, num_shards = 1;
+    const uint32_t flags = 0;
+    const auto len = static_cast<int32_t>(shard.size());
+    out.write("KMLLSHRD", 8);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+    out.write(reinterpret_cast<const char*>(&flags), sizeof(flags));
+    out.write(reinterpret_cast<const char*>(&num_shards), sizeof(num_shards));
+    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
+    out.write(shard.data(), len);
+  }
+  {
+    std::ofstream out(::testing::TempDir() + shard,
+                      std::ios::binary | std::ios::trunc);
+    const int32_t version = 2;
+    const uint32_t flags = 1u << 2, crc = 0;
+    out.write("KMLLDATA", 8);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+    out.write(reinterpret_cast<const char*>(&flags), sizeof(flags));
+    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  }
+  auto opened = ShardedDataset::Open(manifest);
+  EXPECT_FALSE(opened.ok()) << "opened as n=" << opened->n()
+                            << " dim=" << opened->dim();
+}
+
 TEST(ShardFormatTest, PayloadBitRotDegradesAtFirstMap) {
   Dataset data = MakeData(60, 3, false, false);
   std::string manifest = TempPath("bitrot.kml");
