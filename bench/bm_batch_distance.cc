@@ -32,10 +32,12 @@ Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
 }
 
 // The (n, k, d) grid shared by the kernel comparisons. d straddles the
-// plain/expanded crossover; k straddles the center-tile size.
+// plain/expanded crossover; k straddles the center-tile size. k = 1 and 4
+// (the first k-means|| round, k-means++ steps) are all residue panel, and
+// k = 100 (perfbench's train_sharded) is 6 full panels plus a residue of 4.
 void KernelGrid(benchmark::internal::Benchmark* b) {
   for (int64_t d : {4, 8, 16, 24, 32, 48, 64, 128}) {
-    for (int64_t k : {16, 64, 256}) {
+    for (int64_t k : {1, 4, 16, 64, 100, 256}) {
       b->Args({4096, k, d});
     }
   }

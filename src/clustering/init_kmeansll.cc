@@ -73,7 +73,7 @@ Result<Matrix> ReclusterCandidates(const Matrix& candidates,
 Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
                                 rng::Rng rng,
                                 const KMeansLLOptions& options,
-                                ThreadPool* pool) {
+                                ThreadPool* pool, const double* point_norms) {
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   if (k > data.n()) {
     return Status::InvalidArgument("k=" + std::to_string(k) +
@@ -145,7 +145,7 @@ Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
 
   // Step 2: ψ = φ_X(C). The tracker runs every round's distance update as
   // one blocked parallel pass (cached point norms, fused potential).
-  MinDistanceTracker tracker(data, pool);
+  MinDistanceTracker tracker(data, pool, point_norms);
   double psi;
   if (resumed) {
     // Replay the full candidate set; telemetry keeps the uninterrupted
@@ -280,9 +280,9 @@ Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
 Result<InitResult> KMeansLLInit(const Dataset& data, int64_t k,
                                 rng::Rng rng,
                                 const KMeansLLOptions& options,
-                                ThreadPool* pool) {
+                                ThreadPool* pool, const double* point_norms) {
   InMemorySource source = data.AsSource();
-  return KMeansLLInit(source, k, rng, options, pool);
+  return KMeansLLInit(source, k, rng, options, pool, point_norms);
 }
 
 }  // namespace kmeansll

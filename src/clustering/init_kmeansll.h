@@ -82,7 +82,10 @@ struct KMeansLLOptions {
 /// Runs k-means|| (Algorithm 2). Fails if k <= 0, k > n, or the options
 /// are inconsistent. `pool` (may be null) parallelizes the per-round
 /// distance scans through the batch engine; the deterministic chunking
-/// keeps results bitwise identical at any thread count.
+/// keeps results bitwise identical at any thread count. `point_norms`
+/// (may be null) is RowSquaredNorms of the data, which the round updates
+/// read under the expanded kernel; null computes them in one more pass,
+/// with bitwise the same result.
 ///
 /// If after r rounds fewer than k candidates were selected (possible when
 /// r·ℓ < k; see Figures 5.2/5.3), the candidate set is returned as-is
@@ -91,7 +94,8 @@ struct KMeansLLOptions {
 Result<InitResult> KMeansLLInit(const Dataset& data, int64_t k,
                                 rng::Rng rng,
                                 const KMeansLLOptions& options = {},
-                                ThreadPool* pool = nullptr);
+                                ThreadPool* pool = nullptr,
+                                const double* point_norms = nullptr);
 
 /// As above over a DatasetSource: every data-wide pass (round updates,
 /// sampling scans, the Step 7 weighting) streams pinned row blocks. This
@@ -101,7 +105,8 @@ Result<InitResult> KMeansLLInit(const Dataset& data, int64_t k,
 Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
                                 rng::Rng rng,
                                 const KMeansLLOptions& options = {},
-                                ThreadPool* pool = nullptr);
+                                ThreadPool* pool = nullptr,
+                                const double* point_norms = nullptr);
 
 namespace internal {
 

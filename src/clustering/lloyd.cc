@@ -76,7 +76,9 @@ Result<LloydResult> RunLloyd(const DatasetSource& data,
   // iteration; the previous assignment (and its cost, feeding the
   // convergence tests) is recomputed against the stored entering centers
   // — one data pass instead of O(n) persisted state — so the resumed
-  // trajectory is bitwise the uninterrupted one.
+  // trajectory is bitwise the uninterrupted one. A fresh run needs no
+  // assignment before its first iteration: iteration 0's convergence and
+  // tolerance tests are both guarded by iter > 0.
   const internal::LloydCheckpointPlan plan =
       internal::MakeLloydCheckpointPlan(data, initial_centers, options);
   int64_t start_iter = 0;
@@ -86,9 +88,6 @@ Result<LloydResult> RunLloyd(const DatasetSource& data,
       start_iter = result.iterations;
       result.assignment =
           ComputeAssignment(data, resume_prev, pool, point_norms);
-    } else {
-      result.assignment = ComputeAssignment(data, result.centers, pool,
-                                            point_norms);
     }
   }
 
@@ -106,7 +105,7 @@ Result<LloydResult> RunLloyd(const DatasetSource& data,
     ++result.iterations;
 
     bool assignments_unchanged =
-        assignment.cluster == result.assignment.cluster && iter > 0;
+        iter > 0 && assignment.cluster == result.assignment.cluster;
     double previous_cost = result.assignment.cost;
 
     result.centers = std::move(new_centers);

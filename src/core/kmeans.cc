@@ -105,13 +105,13 @@ Result<InitResult> KMeans::Initialize(const Dataset& data) const {
 }
 
 Result<InitResult> KMeans::Initialize(const DatasetSource& data) const {
-  return InitializeWithContext(data, nullptr, config_.seed);
+  KMEANSLL_RETURN_NOT_OK(ValidateConfig(config_, data));
+  return InitializeWithContext(data, nullptr, config_.seed, nullptr);
 }
 
 Result<InitResult> KMeans::InitializeWithContext(
-    const DatasetSource& data, mapreduce::Counters* counters,
-    uint64_t seed) const {
-  KMEANSLL_RETURN_NOT_OK(ValidateConfig(config_, data));
+    const DatasetSource& data, mapreduce::Counters* counters, uint64_t seed,
+    const double* point_norms) const {
   rng::Rng rng = rng::MakeRootRng(seed);
   if (config_.use_mapreduce) {
     MRContext ctx;
@@ -138,7 +138,7 @@ Result<InitResult> KMeans::InitializeWithContext(
                           pool_.get());
     case InitMethod::kKMeansParallel:
       return KMeansLLInit(data, config_.k, rng, config_.kmeansll,
-                          pool_.get());
+                          pool_.get(), point_norms);
     case InitMethod::kPartition:
       return PartitionInit(data, config_.k, rng, config_.partition);
   }
@@ -151,6 +151,7 @@ Result<KMeansReport> KMeans::Fit(const Dataset& data) const {
 }
 
 Result<KMeansReport> KMeans::Fit(const DatasetSource& data) const {
+  // Validated once per Fit: the seeding runs below skip it.
   KMEANSLL_RETURN_NOT_OK(ValidateConfig(config_, data));
   WallTimer total_timer;
   KMeansReport report;
@@ -161,10 +162,11 @@ Result<KMeansReport> KMeans::Fit(const DatasetSource& data) const {
   ctx.counters = &report.counters;
 
   // Point norms are a pure function of the data: computed once per Fit
-  // and threaded through every in-process cost/assignment evaluation
-  // below (each used to redo the O(n·d) norm pass). Only the expanded
-  // kernel reads them, so small dimensions skip the pass entirely; the
-  // MapReduce paths keep norms in their own per-partition distance state.
+  // and threaded through the k-means|| distance tracker and every
+  // in-process cost/assignment evaluation below (each used to redo the
+  // O(n·d) norm pass). Only the expanded kernel reads them, so small
+  // dimensions skip the pass entirely; the MapReduce paths keep norms in
+  // their own per-partition distance state.
   std::vector<double> norm_storage;
   if (!config_.use_mapreduce &&
       ResolveExpandedKernel(BatchKernel::kAuto, data.dim())) {
@@ -185,7 +187,8 @@ Result<KMeansReport> KMeans::Fit(const DatasetSource& data) const {
                                     static_cast<uint64_t>(run));
     KMEANSLL_ASSIGN_OR_RETURN(
         InitResult candidate,
-        InitializeWithContext(data, &report.counters, run_seed));
+        InitializeWithContext(data, &report.counters, run_seed,
+                              point_norms));
     double cost;
     if (config_.use_mapreduce) {
       KMEANSLL_ASSIGN_OR_RETURN(

@@ -162,11 +162,13 @@ class KMeans {
   const KMeansConfig& config() const { return config_; }
 
  private:
-  /// Initialize with MapReduce counters wired through and an explicit
-  /// root seed (Fit's best-of-num_runs path).
+  /// Initialize with MapReduce counters wired through, an explicit root
+  /// seed and the caller's point norms (Fit's best-of-num_runs path; may
+  /// be null). The caller has already run ValidateConfig on `data`.
   Result<InitResult> InitializeWithContext(const DatasetSource& data,
                                            mapreduce::Counters* counters,
-                                           uint64_t seed) const;
+                                           uint64_t seed,
+                                           const double* point_norms) const;
 
   KMeansConfig config_;
   std::unique_ptr<ThreadPool> pool_;  // created when num_threads > 0

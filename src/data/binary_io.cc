@@ -69,6 +69,10 @@ Result<DatasetHeader> ReadDatasetHeader(RecordReader* in) {
   if (header.file_bytes - kDatasetHeaderBytes > in->remaining()) {
     return in->Truncated();
   }
+  if (header.file_bytes - kDatasetHeaderBytes < in->remaining()) {
+    return Status::InvalidArgument("'" + path +
+                                   "' has trailing bytes after the dataset");
+  }
   return header;
 }
 

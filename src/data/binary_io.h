@@ -40,9 +40,9 @@ struct DatasetHeader {
 
 /// Reads the header at the cursor and validates magic, version, flags,
 /// and shape plausibility. The file size the header implies is
-/// overflow-checked and must fit in the bytes the reader holds (an
-/// IOError otherwise), so nothing is allocated for a payload that is
-/// not there.
+/// overflow-checked and must equal the bytes the reader holds: fewer is
+/// an IOError, so nothing is allocated for a payload that is not there,
+/// and more is an InvalidArgument (trailing bytes).
 Result<DatasetHeader> ReadDatasetHeader(RecordReader* in);
 
 /// Writes n rows of d columns as a version-2 KMLLDATA file: header,
@@ -63,7 +63,7 @@ Status WriteBinaryRange(const Dataset& dataset, int64_t begin, int64_t end,
                         const std::string& path);
 
 /// Reads a dataset written by WriteBinary. Fails on bad magic, version
-/// mismatch, implausible shape, or truncation.
+/// mismatch, implausible shape, truncation, or trailing bytes.
 Result<Dataset> ReadBinary(const std::string& path);
 
 }  // namespace kmeansll::data

@@ -224,6 +224,7 @@ Result<ShardManifest> ReadShardManifest(const std::string& manifest_path) {
         "shard rows sum to " + std::to_string(next_row) + " but '" +
         manifest_path + "' declares n=" + std::to_string(manifest.n));
   }
+  KMEANSLL_RETURN_NOT_OK(in.ExpectEnd("shard table"));
   return manifest;
 }
 

@@ -1,6 +1,7 @@
 #include "distance/batch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -28,8 +29,10 @@ namespace {
 // Two implementations are provided per kernel: a portable scalar version
 // and an AVX2+FMA version selected once at startup via
 // __builtin_cpu_supports — the default build stays baseline-ISA while
-// capable machines get 4-wide FMA. The dispatch is constant per machine,
-// preserving run-to-run and thread-count determinism.
+// capable machines get 4-wide FMA. The nearest merges add an AVX-512
+// block kernel on CPUs that have it, lane-for-lane the AVX2 chain. The
+// dispatch is constant per machine, preserving run-to-run and
+// thread-count determinism.
 
 // Dot products of two point rows against one full packed panel:
 // acc{0,1}[j] += x{0,1}[t] * panel[t][j]. 2 points × 4 vector
@@ -299,14 +302,202 @@ __attribute__((target("fma"))) void SqPanelTailFma(const double* x,
   }
 }
 
+// --- AVX-512 nearest-merge blocks ------------------------------------------
+//
+// BatchNearestMerge's argmin and distance-only merges over whole blocks of
+// kAvx512BlockRows point rows. Each step scores the block against one
+// panel of 16 centers in zmm accumulators (two 8-lane halves per row),
+// and every lane runs exactly the AVX2 lane chain: acc = fma(x[t], c[t],
+// acc) from +0 in coordinate order (dot), or e = x[t] − c[t], acc =
+// fma(e, e, acc) (plain). The expanded value is (‖x‖² + ‖c‖²) − (acc +
+// acc) clamped at +0: the scalar convert's operations in its order, none
+// fused (the build turns contraction off). So every (point, center) value
+// is bitwise the AVX2 path's. The k mod 16 residue panel runs in the same
+// loop with masked loads at its own packed width; masked-off lanes never
+// reach the merge.
+//
+// Lane argmin: lane j of a row keeps (min d², first index) over centers
+// j, j + 16, j + 32, ... with strict-< updates in ascending panel order,
+// so it holds the first index attaining its lane's minimum. After the
+// last panel the row's minimum is the least lane minimum, and its index
+// is the lowest index among the lanes holding that minimum: the first
+// center attaining it, which is what a sequential ascending strict-< scan
+// finds. That one candidate is merged strict-< into the caller's
+// (best_d2, best_index), so a tie keeps the incumbent.
+constexpr int64_t kAvx512BlockRows = 8;
+
+// Lane-wise b < a ? b : a, and the same reduced over all 8 lanes (the
+// result is in every lane). Written with compares, blends and masked
+// shuffles: GCC 12's unmasked min/max/extract intrinsics pass an
+// undefined vector through and trip -Wuninitialized.
+__attribute__((target("avx512f"), always_inline)) inline __m512d LaneMin(
+    __m512d a, __m512d b) {
+  return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(b, a, _CMP_LT_OQ), a, b);
+}
+
+__attribute__((target("avx512f"), always_inline)) inline __m512d LeastLane(
+    __m512d v) {
+  v = LaneMin(v, _mm512_maskz_shuffle_f64x2(0xFF, v, v, 0x4E));
+  v = LaneMin(v, _mm512_maskz_shuffle_f64x2(0xFF, v, v, 0xB1));
+  return LaneMin(v, _mm512_maskz_permute_pd(0xFF, v, 0x55));
+}
+
+template <bool kExpanded, bool kWithIndex>
+__attribute__((target("avx512f,avx2,fma"))) void NearestBlockAvx512(
+    const double* x, int64_t d, const double* point_norms,
+    const double* packed, int64_t k, const double* center_norms,
+    int64_t base, double* best_d2, int32_t* best_index) {
+  constexpr int kRows = static_cast<int>(kAvx512BlockRows);
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d inf =
+      _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  __m512d lane_min[kRows][2];
+  __m512i lane_arg[kRows];
+  for (int r = 0; r < kRows; ++r) {
+    lane_min[r][0] = inf;
+    lane_min[r][1] = inf;
+    lane_arg[r] = _mm512_setzero_si512();
+  }
+  __m512i lane_center = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                          11, 12, 13, 14, 15);
+  const __m512i panel_step = _mm512_set1_epi32(kCenterTile);
+
+  for (int64_t c_off = 0; c_off < k; c_off += kCenterTile) {
+    const int64_t count = std::min<int64_t>(kCenterTile, k - c_off);
+    const double* panel = packed + c_off * d;
+    const __mmask8 live0 =
+        count >= 8 ? 0xFF : static_cast<__mmask8>((1u << count) - 1);
+    const __mmask8 live1 =
+        count > 8 ? static_cast<__mmask8>((1u << (count - 8)) - 1) : 0;
+    __m512d acc[kRows][2];
+    for (int r = 0; r < kRows; ++r) {
+      acc[r][0] = zero;
+      acc[r][1] = zero;
+    }
+    // Row t of a panel holds coordinate t of its `count` centers; the
+    // residue panel is packed at stride `count`, so its loads are masked
+    // (a half with no live lane is not loaded at all).
+    for (int64_t t = 0; t < d; ++t) {
+      const double* row = panel + t * count;
+      __m512d c0, c1 = zero;
+      if (count == kCenterTile) {
+        c0 = _mm512_loadu_pd(row);
+        c1 = _mm512_loadu_pd(row + 8);
+      } else {
+        c0 = _mm512_maskz_loadu_pd(live0, row);
+        if (live1 != 0) c1 = _mm512_maskz_loadu_pd(live1, row + 8);
+      }
+      for (int r = 0; r < kRows; ++r) {
+        const __m512d xv = _mm512_set1_pd(x[r * d + t]);
+        if (kExpanded) {
+          acc[r][0] = _mm512_fmadd_pd(xv, c0, acc[r][0]);
+          acc[r][1] = _mm512_fmadd_pd(xv, c1, acc[r][1]);
+        } else {
+          const __m512d e0 = _mm512_sub_pd(xv, c0);
+          const __m512d e1 = _mm512_sub_pd(xv, c1);
+          acc[r][0] = _mm512_fmadd_pd(e0, e0, acc[r][0]);
+          acc[r][1] = _mm512_fmadd_pd(e1, e1, acc[r][1]);
+        }
+      }
+    }
+    __m512d cn0 = zero, cn1 = zero;
+    if (kExpanded) {
+      cn0 = _mm512_maskz_loadu_pd(live0, center_norms + c_off);
+      if (live1 != 0) {
+        cn1 = _mm512_maskz_loadu_pd(live1, center_norms + c_off + 8);
+      }
+    }
+    for (int r = 0; r < kRows; ++r) {
+      __m512d v0 = acc[r][0], v1 = acc[r][1];
+      if (kExpanded) {
+        // (pn + cn) − (acc + acc), then v > 0 ? v : +0, as the scalar
+        // convert computes it.
+        const __m512d pn = _mm512_set1_pd(point_norms[r]);
+        v0 = _mm512_sub_pd(_mm512_add_pd(pn, cn0), _mm512_add_pd(v0, v0));
+        v1 = _mm512_sub_pd(_mm512_add_pd(pn, cn1), _mm512_add_pd(v1, v1));
+        v0 = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(v0, zero, _CMP_GT_OQ),
+                                 v0);
+        v1 = _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(v1, zero, _CMP_GT_OQ),
+                                 v1);
+      }
+      const __mmask8 lt0 =
+          _mm512_mask_cmp_pd_mask(live0, v0, lane_min[r][0], _CMP_LT_OQ);
+      const __mmask8 lt1 =
+          _mm512_mask_cmp_pd_mask(live1, v1, lane_min[r][1], _CMP_LT_OQ);
+      lane_min[r][0] = _mm512_mask_mov_pd(lane_min[r][0], lt0, v0);
+      lane_min[r][1] = _mm512_mask_mov_pd(lane_min[r][1], lt1, v1);
+      if (kWithIndex) {
+        lane_arg[r] = _mm512_mask_mov_epi32(
+            lane_arg[r], _mm512_kunpackb(lt1, lt0), lane_center);
+      }
+    }
+    lane_center = _mm512_add_epi32(lane_center, panel_step);
+  }
+
+  for (int r = 0; r < kRows; ++r) {
+    const __m512d least = LeastLane(LaneMin(lane_min[r][0], lane_min[r][1]));
+    const double m = _mm512_cvtsd_f64(least);
+    if (!(m < best_d2[r])) continue;
+    best_d2[r] = m;
+    if (kWithIndex) {
+      alignas(64) int32_t args[kCenterTile];
+      _mm512_store_si512(args, lane_arg[r]);
+      unsigned tied = _mm512_kunpackb(
+          _mm512_cmp_pd_mask(lane_min[r][1], least, _CMP_EQ_OQ),
+          _mm512_cmp_pd_mask(lane_min[r][0], least, _CMP_EQ_OQ));
+      int32_t arg = args[std::countr_zero(tied)];
+      for (tied &= tied - 1; tied != 0; tied &= tied - 1) {
+        arg = std::min(arg, args[std::countr_zero(tied)]);
+      }
+      best_index[r] = static_cast<int32_t>(base + arg);
+    }
+  }
+}
+
 bool DetectAvx2Fma() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
 const bool kUseAvx2 = DetectAvx2Fma();
+// Only where the AVX2+FMA kernels run too: the AVX-512 lanes reproduce
+// their chain, and the rows short of a block still take them.
+const bool kUseAvx512 = kUseAvx2 && __builtin_cpu_supports("avx512f");
+
+// Merges the leading whole blocks of `rows` with the AVX-512 kernel;
+// returns how many rows it covered.
+int64_t NearestMergeBlocksAvx512(ConstMatrixView points, IndexRange rows,
+                                 const double* point_norms,
+                                 const CenterPanels& panels,
+                                 const double* center_norms, bool expanded,
+                                 double* best_d2, int32_t* best_index) {
+  using Kernel = void (*)(const double*, int64_t, const double*,
+                          const double*, int64_t, const double*, int64_t,
+                          double*, int32_t*);
+  const bool with_index = best_index != nullptr;
+  const Kernel kernel =
+      expanded ? (with_index ? &NearestBlockAvx512<true, true>
+                             : &NearestBlockAvx512<true, false>)
+               : (with_index ? &NearestBlockAvx512<false, true>
+                             : &NearestBlockAvx512<false, false>);
+  const int64_t blocked = rows.size() - rows.size() % kAvx512BlockRows;
+  for (int64_t p = 0; p < blocked; p += kAvx512BlockRows) {
+    kernel(points.Row(rows.begin + p), points.cols(),
+           expanded ? point_norms + p : nullptr, panels.data(),
+           panels.num_centers(), center_norms, panels.first_center(),
+           best_d2 + p, with_index ? best_index + p : nullptr);
+  }
+  return blocked;
+}
 
 #else
 constexpr bool kUseAvx2 = false;
+constexpr bool kUseAvx512 = false;
+inline int64_t NearestMergeBlocksAvx512(ConstMatrixView, IndexRange,
+                                        const double*, const CenterPanels&,
+                                        const double*, bool, double*,
+                                        int32_t*) {
+  return 0;
+}
 inline void DotPanel2Avx2(const double*, const double*, const double*,
                           int64_t, double*, double*) {}
 inline void DotPanel1Avx2(const double*, const double*, int64_t, double*) {}
@@ -426,11 +617,12 @@ void PanelScan(ConstMatrixView points, IndexRange rows,
   double d2v0[kCenterTile];
   double d2v1[kCenterTile];
 
-  // Branchless distance conversion (vectorizable) ahead of the merge.
+  // Branchless distance conversion (vectorizable) ahead of the merge, in
+  // SquaredL2Expanded's form.
   auto convert = [&](const double* acc, int64_t count, double pn,
                      const double* cn, double* d2v) {
     for (int64_t j = 0; j < count; ++j) {
-      double v = pn + cn[j] - 2.0 * acc[j];
+      double v = (pn + cn[j]) - (acc[j] + acc[j]);
       d2v[j] = v > 0.0 ? v : 0.0;
     }
   };
@@ -569,6 +761,19 @@ void BatchNearestMerge(ConstMatrixView points, IndexRange rows,
   std::vector<double> pn_storage;
   point_norms =
       EnsurePointNorms(points, rows, expanded, point_norms, &pn_storage);
+  // Whole blocks of rows take the AVX-512 kernel where the CPU has it; the
+  // rows short of a block take the panel scan below. A row's result does
+  // not depend on which of the two scored it.
+  if (kUseAvx512) {
+    const int64_t done =
+        NearestMergeBlocksAvx512(points, rows, point_norms, panels,
+                                 center_norms, expanded, best_d2, best_index);
+    rows.begin += done;
+    if (rows.size() == 0) return;
+    if (expanded) point_norms += done;
+    best_d2 += done;
+    if (best_index != nullptr) best_index += done;
+  }
   const int64_t base = panels.first_center();
   const IndexRange all{0, panels.num_centers()};
   if (best_index == nullptr) {
@@ -812,6 +1017,10 @@ void BatchDistances(ConstMatrixView points, IndexRange rows,
               std::memcpy(out_d2 + p * k + c_off, d2v,
                           static_cast<size_t>(count) * sizeof(double));
             });
+}
+
+const char* BatchKernelIsa() {
+  return kUseAvx512 ? "avx512" : kUseAvx2 ? "avx2" : "scalar";
 }
 
 double PairSquaredL2(const double* a, const double* b, int64_t dim) {

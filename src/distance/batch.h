@@ -30,7 +30,10 @@
 //    kCenterTile centers are accumulated simultaneously in independent
 //    chains (explicit AVX2+FMA on capable x86-64, selected once at
 //    startup; portable scalar otherwise), giving the FMA units enough
-//    ILP to run at throughput instead of latency.
+//    ILP to run at throughput instead of latency. On AVX-512 machines the
+//    nearest merges score blocks of 8 rows per panel step and keep each
+//    lane's running argmin in registers across panels, with the same
+//    per-pair values (see BatchKernelIsa).
 //
 // Determinism contract: each (point, center) distance is accumulated in a
 // single chain in coordinate order, identical in the micro-kernel and in
@@ -328,6 +331,13 @@ inline void BatchTopM(const Matrix& points, IndexRange rows,
   BatchTopM(points.view(), rows, point_norms, panels, center_norms, kernel,
             m, out_index, out_d2);
 }
+
+/// The instruction set the engine's kernels were dispatched to, chosen
+/// once per process from the CPU: "avx512" (AVX-512F blocks for the
+/// nearest merges, AVX2+FMA panels elsewhere), "avx2" (AVX2+FMA panels),
+/// or "scalar" (portable kernels). "avx512" and "avx2" give identical
+/// bits; only "scalar", which has no FMA, differs.
+const char* BatchKernelIsa();
 
 /// Resolves kAuto against the dimension: expanded iff
 /// dim >= kExpandedKernelMinDim. All engine entry points and

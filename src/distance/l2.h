@@ -26,9 +26,13 @@ double SquaredNorm(const double* a, int64_t dim);
 /// a · b over `dim` coordinates.
 double DotProduct(const double* a, const double* b, int64_t dim);
 
-/// max(0, a_norm + b_norm - 2·a·b): norm-expanded ||a - b||².
+/// max(0, a_norm + b_norm - 2·a·b): norm-expanded ||a - b||², written as
+/// (a_norm + b_norm) − (dot + dot), the form every batch kernel uses. The
+/// doubling is exact, so the value is the product form's. The library
+/// builds with floating-point contraction off (CMakeLists.txt), so no
+/// build fuses the subtraction into an FMA.
 inline double SquaredL2Expanded(double a_norm, double b_norm, double dot) {
-  double d2 = a_norm + b_norm - 2.0 * dot;
+  double d2 = (a_norm + b_norm) - (dot + dot);
   return d2 > 0.0 ? d2 : 0.0;
 }
 

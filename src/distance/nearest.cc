@@ -342,10 +342,12 @@ MinDistanceTracker::MinDistanceTracker(const Dataset& data, ThreadPool* pool)
       potential_(std::numeric_limits<double>::infinity()) {}
 
 MinDistanceTracker::MinDistanceTracker(const DatasetSource& data,
-                                       ThreadPool* pool)
+                                       ThreadPool* pool,
+                                       const double* point_norms)
     : data_(&data),
       pool_(pool),
       schedule_(MakeScanSchedule(data, data.n(), pool)),
+      point_norms_(point_norms),
       min_d2_(static_cast<size_t>(data.n()),
               std::numeric_limits<double>::infinity()),
       closest_(static_cast<size_t>(data.n()), -1),
@@ -357,16 +359,15 @@ double MinDistanceTracker::AddCenters(const Matrix& centers, int64_t first) {
   const int64_t d = data_->dim();
   const bool expanded = d >= kExpandedKernelMinDim;
 
-  // Point norms are a pure function of the (immutable) dataset: computed
-  // once on first use and reused by every subsequent round.
-  if (expanded && point_norms_.empty() && data_->n() > 0) {
-    point_norms_ = RowSquaredNorms(*data_, pool_);
+  // Point norms are a pure function of the (immutable) dataset: the
+  // caller's, or computed once on first use and reused by every
+  // subsequent round. The plain kernel reads none, and an empty dataset
+  // has none, so the base pointer stays null there.
+  if (expanded && point_norms_ == nullptr && data_->n() > 0) {
+    owned_norms_ = RowSquaredNorms(*data_, pool_);
+    point_norms_ = owned_norms_.data();
   }
-  // Normalized base pointer: never form `data() + offset` on an empty
-  // vector (the plain kernel keeps no norms; an empty dataset keeps
-  // none either).
-  const double* norms_base =
-      point_norms_.empty() ? nullptr : point_norms_.data();
+  const double* norms_base = expanded ? point_norms_ : nullptr;
 
   // Norms for just the newly added center rows (tiny next to the n·k·d
   // scan; indexed relative to `first` as the engine expects).

@@ -238,8 +238,12 @@ class MinDistanceTracker {
 
   /// As above over a DatasetSource — the same tracker streams
   /// disk-resident shards (the source must outlive the tracker).
+  /// `point_norms` (may be null; must outlive the tracker) is
+  /// RowSquaredNorms of the source, read by the expanded kernel; null
+  /// computes them on the first AddCenters, bitwise the same values.
   explicit MinDistanceTracker(const DatasetSource& data,
-                              ThreadPool* pool = nullptr);
+                              ThreadPool* pool = nullptr,
+                              const double* point_norms = nullptr);
 
   /// Non-copyable/non-movable: the Dataset constructor points data_ at
   /// the tracker's own owned_source_ member, so a byte-wise copy or
@@ -284,9 +288,10 @@ class MinDistanceTracker {
                            // reused by every AddCenters round (empty for
                            // in-memory sources; timing only — see
                            // parallel/parallel_for.h)
+  const double* point_norms_ = nullptr;  // the caller's, or owned_norms_
   std::vector<double> min_d2_;
   std::vector<int32_t> closest_;
-  std::vector<double> point_norms_;  // lazily cached across rounds
+  std::vector<double> owned_norms_;  // computed on first use when not given
   double potential_ = 0.0;
 };
 

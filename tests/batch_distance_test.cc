@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "clustering/cost.h"
@@ -157,6 +161,89 @@ TEST(BatchEngineTest, MergeKeepsExistingOnTie) {
 
 // --- Scalar / batched chain consistency ---------------------------------
 
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// The scalar chain every merge path must reproduce: each (point, center)
+// value from PairSquaredL2 (plain) or SquaredL2Expanded over
+// PairDotProduct (expanded), folded into (best_d2, best_index) by a
+// sequential ascending strict-< scan over centers [first_center, k).
+// Output arrays are indexed relative to rows.begin.
+void ScalarChainMerge(const Matrix& points, IndexRange rows,
+                      const Matrix& centers, int64_t first_center,
+                      bool expanded, double* best_d2, int32_t* best_index) {
+  const int64_t d = points.cols();
+  for (int64_t i = rows.begin; i < rows.end; ++i) {
+    const double* x = points.Row(i);
+    const double pn = SquaredNorm(x, d);
+    double& bd = best_d2[i - rows.begin];
+    int32_t& bi = best_index[i - rows.begin];
+    for (int64_t c = first_center; c < centers.rows(); ++c) {
+      const double* y = centers.Row(c);
+      const double v = expanded ? SquaredL2Expanded(pn, SquaredNorm(y, d),
+                                                    PairDotProduct(x, y, d))
+                                : PairSquaredL2(x, y, d);
+      if (v < bd) {
+        bd = v;
+        bi = static_cast<int32_t>(c);
+      }
+    }
+  }
+}
+
+// Merges centers [first_center, k) into rows [rows.begin, rows.end) with
+// BatchNearestMerge, with and without the index, starting from
+// (start_d2, start_index) (entry i - rows.begin for row i), and checks
+// every row against ScalarChainMerge bit for bit. Returns a description
+// of the first mismatching row, or "" when all match.
+std::string CheckMergeAgainstScalarChain(const Matrix& points,
+                                         IndexRange rows,
+                                         const Matrix& centers,
+                                         int64_t first_center, bool expanded,
+                                         const double* start_d2,
+                                         const int32_t* start_index) {
+  const int64_t n = rows.size();
+  std::vector<double> want_d2(start_d2, start_d2 + n);
+  std::vector<int32_t> want_index(start_index, start_index + n);
+  std::vector<double> got_d2 = want_d2, distance_only = want_d2;
+  std::vector<int32_t> got_index = want_index;
+  ScalarChainMerge(points, rows, centers, first_center, expanded,
+                   want_d2.data(), want_index.data());
+
+  std::vector<double> point_norms(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    point_norms[static_cast<size_t>(i)] =
+        SquaredNorm(points.Row(rows.begin + i), points.cols());
+  }
+  std::vector<double> center_norms = RowSquaredNorms(centers);
+  CenterPanels panels;
+  panels.Pack(centers, first_center);
+  const BatchKernel kernel =
+      expanded ? BatchKernel::kExpanded : BatchKernel::kPlain;
+  BatchNearestMerge(points, rows, point_norms.data(), panels,
+                    center_norms.data() + first_center, kernel,
+                    got_d2.data(), got_index.data());
+  BatchNearestMerge(points, rows, point_norms.data(), panels,
+                    center_norms.data() + first_center, kernel,
+                    distance_only.data(), nullptr);
+  for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
+    if (SameBits(got_d2[i], want_d2[i]) && got_index[i] == want_index[i] &&
+        SameBits(distance_only[i], want_d2[i])) {
+      continue;
+    }
+    std::ostringstream msg;
+    msg << "rows [" << rows.begin << ", " << rows.end << ") k="
+        << centers.rows() << " d=" << points.cols()
+        << " first_center=" << first_center << " expanded=" << expanded
+        << " row " << rows.begin + static_cast<int64_t>(i) << ": want ("
+        << want_d2[i] << ", " << want_index[i] << ") got (" << got_d2[i]
+        << ", " << got_index[i] << "), distance-only " << distance_only[i];
+    return msg.str();
+  }
+  return "";
+}
+
 // The scalar Find path and the blocked batch path must agree BITWISE
 // (values, not just argmin): both run the engine's per-pair accumulation
 // chains (PairSquaredL2 / PairDotProduct mirror the panel kernels,
@@ -178,6 +265,184 @@ TEST(BatchEngineTest, ScalarAndBatchedValuesBitwiseEqual) {
       EXPECT_EQ(d2[static_cast<size_t>(i)], expected.distance2)  // bitwise
           << "point " << i << " expanded="
           << (kernel == NearestCenterSearch::Kernel::kExpanded);
+    }
+  }
+
+  // Sweep over every blocking boundary of the merge paths. Rows 1-17 and
+  // 64-73 cover whole blocks of the AVX-512 kernel (8 rows) and every
+  // remainder; k = 1-17, 31-33, 100 and 200 cover every residue width of
+  // the 16-wide panels; d straddles the plain/expanded crossover. Each
+  // shape merges into fresh (+inf, -1) arrays and, at a nonzero
+  // first_center, into arrays already holding the earlier centers' scan.
+  // The range starts at row 3, so blocks do not start on row 0.
+  std::printf("[ dispatch ] batch kernels: %s\n", BatchKernelIsa());
+  std::vector<int64_t> row_counts, ks;
+  for (int64_t n = 1; n <= 17; ++n) row_counts.push_back(n);
+  for (int64_t n = 64; n <= 73; ++n) row_counts.push_back(n);
+  for (int64_t k = 1; k <= 17; ++k) ks.push_back(k);
+  for (int64_t k : {31, 32, 33, 100, 200}) ks.push_back(k);
+  constexpr int64_t kFirstRow = 3;
+  const int64_t total_rows = kFirstRow + row_counts.back();
+  int64_t mismatches = 0;
+  std::string first_mismatch;
+  for (int64_t d : {1, 7, 16, 31, 32, 33, 64}) {
+    Matrix points = RandomMatrix(total_rows, d, 900 + d, 3.0);
+    for (int64_t k : ks) {
+      Matrix centers = RandomMatrix(k, d, 1000 + 7 * k + d, 3.0);
+      for (bool expanded : {false, true}) {
+        for (int64_t first_center : {int64_t{0}, std::max<int64_t>(1, k / 3)}) {
+          if (first_center >= k) continue;
+          std::vector<double> start_d2(
+              static_cast<size_t>(total_rows),
+              std::numeric_limits<double>::infinity());
+          std::vector<int32_t> start_index(static_cast<size_t>(total_rows),
+                                           -1);
+          // Incremental: the earlier centers are already merged.
+          Matrix earlier(0, d);
+          for (int64_t c = 0; c < first_center; ++c) {
+            earlier.AppendRow(centers.Row(c));
+          }
+          ScalarChainMerge(points, IndexRange{0, total_rows}, earlier, 0,
+                           expanded, start_d2.data(), start_index.data());
+          for (int64_t n : row_counts) {
+            const std::string mismatch = CheckMergeAgainstScalarChain(
+                points, IndexRange{kFirstRow, kFirstRow + n}, centers,
+                first_center, expanded, start_d2.data() + kFirstRow,
+                start_index.data() + kFirstRow);
+            if (mismatch.empty()) continue;
+            if (mismatches++ == 0) first_mismatch = mismatch;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch: " << first_mismatch;
+}
+
+// Adversarial inputs for the merge paths, each checked bit for bit
+// against the scalar chain over 19 rows (two whole AVX-512 blocks and a
+// remainder of 3), plain and expanded.
+TEST(BatchEngineTest, AdversarialMergesMatchScalarChain) {
+  constexpr int64_t kRows = 19;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> fresh_d2(kRows, inf);
+  const std::vector<int32_t> fresh_index(kRows, -1);
+  const IndexRange all{0, kRows};
+
+  for (int64_t d : {7, 33}) {
+    // Duplicate centers: center c repeats pattern c % 3, so equal values
+    // sit in the same lane of successive panels and in neighbouring
+    // lanes. The lowest index of the tied pattern must win, and a merge
+    // of later duplicates must keep it.
+    Matrix patterns = RandomMatrix(3, d, 31 + d, 2.0);
+    Matrix duplicates(37, d);
+    for (int64_t c = 0; c < duplicates.rows(); ++c) {
+      std::memcpy(duplicates.Row(c), patterns.Row(c % 3),
+                  static_cast<size_t>(d) * sizeof(double));
+    }
+    Matrix points = RandomMatrix(kRows, d, 41 + d, 2.0);
+    for (bool expanded : {false, true}) {
+      EXPECT_EQ(CheckMergeAgainstScalarChain(points, all, duplicates, 0,
+                                             expanded, fresh_d2.data(),
+                                             fresh_index.data()),
+                "");
+      std::vector<double> d2 = fresh_d2;
+      std::vector<int32_t> index = fresh_index;
+      BatchNearestMerge(points, all, nullptr, duplicates, 0, nullptr,
+                        expanded ? BatchKernel::kExpanded
+                                 : BatchKernel::kPlain,
+                        d2.data(), index.data());
+      for (int64_t i = 0; i < kRows; ++i) {
+        EXPECT_LT(index[static_cast<size_t>(i)], 3) << "row " << i;
+      }
+      // The incumbents already hold every pattern's value: merging the
+      // later duplicates (from center 5 on) ties them.
+      EXPECT_EQ(CheckMergeAgainstScalarChain(points, all, duplicates, 5,
+                                             expanded, d2.data(),
+                                             index.data()),
+                "");
+
+      // A new center tying the incumbent: the incumbent stays.
+      Matrix centers = RandomMatrix(21, d, 51 + d, 2.0);
+      std::vector<double> tie_d2 = fresh_d2;
+      std::vector<int32_t> tie_index = fresh_index;
+      ScalarChainMerge(points, all, centers, 0, expanded, tie_d2.data(),
+                       tie_index.data());
+      std::fill(tie_index.begin(), tie_index.end(), 1000);
+      EXPECT_EQ(CheckMergeAgainstScalarChain(points, all, centers, 0,
+                                             expanded, tie_d2.data(),
+                                             tie_index.data()),
+                "");
+      std::vector<double> merged = tie_d2;
+      std::vector<int32_t> merged_index = tie_index;
+      BatchNearestMerge(points, all, nullptr, centers, 0, nullptr,
+                        expanded ? BatchKernel::kExpanded
+                                 : BatchKernel::kPlain,
+                        merged.data(), merged_index.data());
+      EXPECT_EQ(merged_index, tie_index);
+
+      // Points on a center: the plain distance is exactly +0; the
+      // expanded one is the cancellation residue clamped at +0, so it is
+      // never negative and never -0.
+      Matrix on_center(kRows, d);
+      for (int64_t i = 0; i < kRows; ++i) {
+        std::memcpy(on_center.Row(i), centers.Row(i % centers.rows()),
+                    static_cast<size_t>(d) * sizeof(double));
+      }
+      EXPECT_EQ(CheckMergeAgainstScalarChain(on_center, all, centers, 0,
+                                             expanded, fresh_d2.data(),
+                                             fresh_index.data()),
+                "");
+      std::vector<double> zero_d2 = fresh_d2;
+      std::vector<int32_t> zero_index = fresh_index;
+      BatchNearestMerge(on_center, all, nullptr, centers, 0, nullptr,
+                        expanded ? BatchKernel::kExpanded
+                                 : BatchKernel::kPlain,
+                        zero_d2.data(), zero_index.data());
+      for (int64_t i = 0; i < kRows; ++i) {
+        const double v = zero_d2[static_cast<size_t>(i)];
+        EXPECT_FALSE(std::signbit(v)) << "row " << i;
+        if (!expanded) EXPECT_TRUE(SameBits(v, 0.0)) << "row " << i;
+        EXPECT_EQ(zero_index[static_cast<size_t>(i)], i % centers.rows());
+      }
+    }
+  }
+
+  // Distances that overflow to +inf. Center 0 sits at 9.5e153 and the
+  // others at +1e200; rows cycle through 1e200, -1e200 and 9.5e153. A row
+  // at -1e200 is +inf from every center and keeps (+inf, -1). With d = 1
+  // a row on center 0 has ||x||² + ||c||² = +inf and a dot product whose
+  // doubling overflows, so its unfused expanded value is inf - inf,
+  // clamped to +0, where a fused multiply-subtract would give +inf and
+  // hand the row to center 1.
+  for (int64_t d : {1, 7, 33}) {
+    Matrix centers(18, d);
+    for (int64_t c = 0; c < centers.rows(); ++c) {
+      for (int64_t t = 0; t < d; ++t) {
+        centers.At(c, t) = c == 0 ? 9.5e153 : 1e200;
+      }
+    }
+    Matrix points(kRows, d);
+    for (int64_t i = 0; i < kRows; ++i) {
+      for (int64_t t = 0; t < d; ++t) {
+        points.At(i, t) = i % 3 == 2 ? 9.5e153 : (i % 3 == 0 ? 1e200 : -1e200);
+      }
+    }
+    for (bool expanded : {false, true}) {
+      EXPECT_EQ(CheckMergeAgainstScalarChain(points, all, centers, 0,
+                                             expanded, fresh_d2.data(),
+                                             fresh_index.data()),
+                "");
+      std::vector<double> d2 = fresh_d2;
+      std::vector<int32_t> index = fresh_index;
+      BatchNearestMerge(points, all, nullptr, centers, 0, nullptr,
+                        expanded ? BatchKernel::kExpanded
+                                 : BatchKernel::kPlain,
+                        d2.data(), index.data());
+      for (int64_t i = 1; i < kRows; i += 3) {
+        EXPECT_EQ(index[static_cast<size_t>(i)], -1) << "row " << i;
+        EXPECT_EQ(d2[static_cast<size_t>(i)], inf) << "row " << i;
+      }
     }
   }
 }
@@ -420,6 +685,26 @@ TEST(BatchDeterminismTest, KMeansLLInitBitwiseIdenticalAcrossThreadCounts) {
   for (auto& pool : pools) {
     auto result = KMeansLLInit(data, 6, rng::MakeRootRng(42), options,
                                pool.get());
+    ASSERT_TRUE(result.ok());
+    EXPECT_TRUE(result->centers == reference->centers);  // bitwise
+    EXPECT_EQ(result->telemetry.round_potentials,
+              reference->telemetry.round_potentials);  // bitwise
+  }
+}
+
+// KMeans::Fit hands its point norms to k-means||; seeding with them must
+// be bitwise seeding without them (the tracker computes the same norms).
+TEST(BatchDeterminismTest, KMeansLLInitWithCallerNormsBitwiseIdentical) {
+  Dataset data(RandomMatrix(300, 40, 112, 3.0));
+  const std::vector<double> norms = RowSquaredNorms(data.points());
+  KMeansLLOptions options;
+  options.rounds = 3;
+  options.oversampling = 8.0;
+  auto reference = KMeansLLInit(data, 6, rng::MakeRootRng(43), options);
+  ASSERT_TRUE(reference.ok());
+  for (auto& pool : MakePools()) {
+    auto result = KMeansLLInit(data, 6, rng::MakeRootRng(43), options,
+                               pool.get(), norms.data());
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->centers == reference->centers);  // bitwise
     EXPECT_EQ(result->telemetry.round_potentials,

@@ -96,6 +96,24 @@ TEST(BinaryIoTest, RejectsTruncated) {
   std::remove(path.c_str());
 }
 
+TEST(BinaryIoTest, RejectsTrailingBytes) {
+  auto uniform = GenerateUniform(40, 3, 0.0, 1.0, rng::Rng(5));
+  ASSERT_TRUE(uniform.ok());
+  std::string path = TempPath("kmeansll_trailing.bin");
+  ASSERT_TRUE(WriteBinary(*uniform, path).ok());
+  ASSERT_TRUE(ReadBinary(path).ok());
+  {
+    FILE* f = fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    fputc(0, f);
+    fclose(f);
+  }
+  auto loaded = ReadBinary(path);
+  EXPECT_TRUE(loaded.status().IsInvalidArgument())
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(BinaryIoTest, PayloadCorruptionFailsTheCrc) {
   auto uniform = GenerateUniform(60, 4, -1.0, 1.0, rng::Rng(7));
   ASSERT_TRUE(uniform.ok());

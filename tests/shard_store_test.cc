@@ -219,6 +219,38 @@ TEST(ShardFormatTest, TruncatedManifestFails) {
   EXPECT_FALSE(ShardedDataset::Open(manifest).ok());
 }
 
+// Appends one byte to a file.
+void AppendByte(const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.put('\0');
+}
+
+TEST(ShardFormatTest, ManifestWithTrailingBytesFails) {
+  Dataset data = MakeData(50, 3, false, false);
+  std::string manifest = TempPath("longmanifest.kml");
+  ASSERT_TRUE(
+      WriteShards(data, manifest, ShardWriteOptions{.num_shards = 2}).ok());
+  ASSERT_TRUE(ReadShardManifest(manifest).ok());
+  AppendByte(manifest);
+  auto read = ReadShardManifest(manifest);
+  EXPECT_TRUE(read.status().IsInvalidArgument()) << read.status().ToString();
+  EXPECT_FALSE(ShardedDataset::Open(manifest).ok());
+}
+
+TEST(ShardFormatTest, ShardWithTrailingBytesFailsAtOpen) {
+  Dataset data = MakeData(60, 4, /*weighted=*/true, /*labeled=*/false);
+  std::string manifest = TempPath("longshard.kml");
+  auto written =
+      WriteShards(data, manifest, ShardWriteOptions{.num_shards = 3});
+  ASSERT_TRUE(written.ok());
+  ASSERT_TRUE(ShardedDataset::Open(manifest).ok());
+  AppendByte(::testing::TempDir() + written->shards[1].file);
+  auto opened = ShardedDataset::Open(manifest);
+  EXPECT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsInvalidArgument())
+      << opened.status().ToString();
+}
+
 TEST(ShardFormatTest, CorruptShardMagicFailsAtOpen) {
   Dataset data = MakeData(50, 3, false, false);
   std::string manifest = TempPath("badshard.kml");
