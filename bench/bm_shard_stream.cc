@@ -10,20 +10,27 @@
 // served by the background prefetcher instead of a demand map. A
 // pool-parallel variant exercises the shard-parallel scan schedule. Raw
 // view-iteration throughput is measured separately so the mmap/fault
-// overhead is visible without the distance kernel.
+// overhead is visible without the distance kernel. BM_Crc32 measures
+// the checksum every shard write and first map runs over its bytes.
 //
-// Items processed = rows streamed, so all variants compare directly.
+// Items processed = rows streamed, so all scan variants compare
+// directly; BM_Crc32 reports bytes/s and labels the dispatched kernel.
 // "Smoke" names run under ctest at tiny sizes so the binary cannot rot.
 
 #include <benchmark/benchmark.h>
 
 #include "bm_trace_main.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "clustering/cost.h"
+#include "data/record_io.h"
 #include "data/shard_store.h"
 #include "matrix/dataset.h"
 #include "matrix/dataset_view.h"
@@ -230,7 +237,50 @@ BENCHMARK(BM_StreamRowsWindowed)
     ->Args({262144, 64, 128, 0})
     ->Args({262144, 64, 128, 1});
 
+// --- CRC-32 kernel throughput --------------------------------------------
+// data::Crc32 runs over shard writes and first-map payload checks,
+// oplog frames and replay, seals, and published checkpoints and
+// models. Sizes: a small record (64 B), a page (4 KiB), one 512 x 16
+// oplog batch (64 KiB), one train_sharded shard (4 MiB) and that
+// workload's whole dataset (64 MiB).
+
+std::vector<unsigned char> RandomBytes(int64_t size, uint64_t seed) {
+  std::vector<unsigned char> bytes(static_cast<size_t>(size));
+  rng::Rng rng(seed);
+  for (size_t i = 0; i < bytes.size(); i += sizeof(uint64_t)) {
+    const uint64_t word = rng.NextUInt64();
+    std::memcpy(bytes.data() + i, &word,
+                std::min(sizeof(word), bytes.size() - i));
+  }
+  return bytes;
+}
+
+void Crc32Throughput(benchmark::State& state, int64_t size) {
+  const std::vector<unsigned char> bytes = RandomBytes(size, 3);
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    // Chained like a streamed record: each call resumes the last.
+    crc = data::Crc32(bytes.data(), bytes.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * size);
+  state.SetLabel(data::Crc32Kernel());
+}
+
+void BM_Crc32(benchmark::State& state) {
+  Crc32Throughput(state, state.range(0));
+}
+BENCHMARK(BM_Crc32)
+    ->Arg(64)
+    ->Arg(4 << 10)
+    ->Arg(64 << 10)
+    ->Arg(4 << 20)
+    ->Arg(64 << 20);
+
 // --- ctest smoke (tiny shapes; see CMakeLists) ---------------------------
+
+void BM_SmokeCrc32(benchmark::State& state) { Crc32Throughput(state, 200); }
+BENCHMARK(BM_SmokeCrc32);
 
 void BM_SmokeShardStream(benchmark::State& state) {
   const int64_t n = 512, k = 8, d = 16;

@@ -33,8 +33,16 @@ namespace kmeansll::data {
 
 /// CRC-32 (IEEE 802.3, reflected, init/final-xor 0xFFFFFFFF) over
 /// `size` bytes, resumable via `seed` (pass a previous return value to
-/// extend).
+/// extend). Inputs of 64 bytes or more fold 16 bytes at a time with
+/// PCLMULQDQ where the CPU has it (see Crc32Kernel); the value is the
+/// same either way.
 uint32_t Crc32(const void* bytes, size_t size, uint32_t seed = 0);
+
+/// The path Crc32 was dispatched to, chosen once per process from the
+/// CPU: "pclmul" (carry-less-multiply folding, with the table loop for
+/// inputs under 64 bytes and the last size % 16 bytes) or "table" (the
+/// byte-at-a-time table loop for every byte).
+const char* Crc32Kernel();
 
 /// `count` elements of `elem_bytes` each, in bytes; -1 when `count` is
 /// negative or the product overflows int64.

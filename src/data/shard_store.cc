@@ -587,9 +587,25 @@ struct ShardedDataset::Impl {
     m.peak_resident_bytes->UpdateMax(m.resident_bytes->value());
   }
 
+  /// Drops `shard`'s hint from the prefetch queue and releases its hold,
+  /// because a demand map is about to make the shard resident. Left
+  /// queued, the hint would be popped after the scan had moved on and
+  /// the shard had been evicted: the prefetcher would map it again
+  /// behind the cursor, protected and unevictable while its pages are
+  /// touched, and push residency past the window plus the pinned shard.
+  /// Caller holds `mutex`.
+  void CancelQueuedPrefetch(Shard& shard) {
+    const auto index = static_cast<size_t>(&shard - shards.data());
+    prefetch_queue.erase(
+        std::find(prefetch_queue.begin(), prefetch_queue.end(), index));
+    shard.queued = false;
+    prefetch_hold_bytes -= shard.file_bytes;
+  }
+
   /// Ensures `shard` is resident, mapping it on demand (or waiting out a
   /// map already in flight on another thread — the prefetcher's,
-  /// typically). Transient map failures are retried with backoff under
+  /// typically). A demand map first cancels the shard's queued hint, if
+  /// any. Transient map failures are retried with backoff under
   /// options.io_retry (with `mutex` released, so other shards' pins
   /// never serialize behind the backoff). Returns OK with `mutex` held
   /// and shard.base set — or, once the retry budget is exhausted, marks
@@ -613,6 +629,7 @@ struct ShardedDataset::Impl {
         ShardMetrics().stall_ns->Increment(waited);
         continue;
       }
+      if (shard.queued) CancelQueuedPrefetch(shard);
       shard.mapping = true;
       const bool verify_crc = shard.has_crc && !shard.crc_checked;
       lock.unlock();
@@ -730,12 +747,9 @@ struct ShardedDataset::Impl {
       prefetch_queue.pop_front();
       Shard& shard = shards[index];
       shard.queued = false;
-      // Demand beat us to it (or another map is in flight): nothing to
-      // warm, and the hold transfers to nobody.
-      if (shard.base != nullptr || shard.mapping) {
-        prefetch_hold_bytes -= shard.file_bytes;
-        continue;
-      }
+      // Only an unmapped shard is queued, and a demand map cancels the
+      // hint before it starts, so the shard is still unmapped here.
+      KMEANSLL_DCHECK(shard.base == nullptr && !shard.mapping);
       shard.mapping = true;
       const bool verify_crc = shard.has_crc && !shard.crc_checked;
       lock.unlock();

@@ -181,9 +181,14 @@ struct ShardedDatasetOptions {
 /// (double-buffered against the LRU window: the window prefers every
 /// unprotected candidate first and only reclaims a never-pinned
 /// prefetched shard as a last resort, counting it as wasted), so a hint
-/// can never evict rows ahead of their own scan. Hints are advisory and
-/// asynchronous; they change timing only, never bytes, so sharded runs
-/// stay bitwise identical to in-memory runs with prefetch on or off.
+/// can never evict rows ahead of their own scan. A Pin that demand-maps
+/// a shard whose hint is still queued cancels the hint, so the
+/// prefetcher never maps a shard the scan has already passed: through a
+/// window with room for one prefetched shard, a single scan keeps at
+/// most max_resident_bytes plus its one pinned shard mapped. Hints are
+/// advisory and asynchronous; they change timing only, never bytes, so
+/// sharded runs stay bitwise identical to in-memory runs with prefetch
+/// on or off.
 class ShardedDataset final : public DatasetSource {
  public:
   /// Residency/IO telemetry. Monotonic counters except resident_bytes
@@ -199,6 +204,8 @@ class ShardedDataset final : public DatasetSource {
     int64_t peak_resident_bytes = 0;
     int64_t prefetch_issued = 0;     ///< shards accepted into the queue
     int64_t prefetch_completed = 0;  ///< shards mapped by the prefetcher
+                                     ///< (a hint cancelled by a demand
+                                     ///< map never completes)
     int64_t prefetch_hits = 0;    ///< pins that found their shard already
                                   ///< prefetched (no demand map, no wait)
     int64_t prefetch_wasted = 0;  ///< prefetched shards evicted before

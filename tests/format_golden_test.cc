@@ -14,10 +14,13 @@
 // KMLLCKPT and KMLLFRSH are also written from inside training and the
 // refine loop: there the expected file is built from the values the code
 // reports, the loader must accept it, and the file the code wrote must
-// equal it.
+// equal it. Last, a sweep pins data::Crc32 itself (the PCLMULQDQ folding
+// path and the table loop alike) to the bitwise reference over every
+// length, alignment and resume split the folding could get wrong.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -33,6 +36,7 @@
 #include "data/checkpoint_io.h"
 #include "data/model_io.h"
 #include "data/oplog.h"
+#include "data/record_io.h"
 #include "data/shard_store.h"
 #include "matrix/dataset.h"
 #include "matrix/matrix.h"
@@ -49,9 +53,11 @@ using fault::FaultKind;
 using fault::FaultRule;
 
 /// Bitwise CRC-32 (IEEE 802.3, reflected, init and final xor
-/// 0xFFFFFFFF): the reference the library's table-driven one must match.
-uint32_t RefCrc32(const char* bytes, size_t size) {
-  uint32_t c = 0xFFFFFFFFu;
+/// 0xFFFFFFFF), resumable via `seed` like data::Crc32: the reference both
+/// of the library's paths (PCLMULQDQ folding and the table loop) must
+/// match.
+uint32_t RefCrc32(const char* bytes, size_t size, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
   for (size_t i = 0; i < size; ++i) {
     c ^= static_cast<unsigned char>(bytes[i]);
     for (int b = 0; b < 8; ++b) {
@@ -610,6 +616,66 @@ TEST(FormatGoldenTest, KmllFrshWrittenByRefineLoop) {
   EXPECT_EQ(recovered.cost_history(), loop.cost_history());
   EXPECT_TRUE(restarted.Acquire()->centers() == served);
   (void)RemoveFileIfExists(options.checkpoint_path);
+}
+
+// ---------------------------------------------------------------------------
+// The CRC-32 kernel behind every checksum above
+// ---------------------------------------------------------------------------
+
+/// `size` pseudo-random bytes.
+std::vector<char> NoiseBytes(size_t size, uint64_t seed) {
+  std::vector<char> bytes(size);
+  uint64_t state = seed;
+  for (size_t i = 0; i < size; i += sizeof(uint64_t)) {
+    const uint64_t word = rng::SplitMix64Next(&state);
+    std::memcpy(bytes.data() + i, &word,
+                std::min(sizeof(word), size - i));
+  }
+  return bytes;
+}
+
+TEST(Crc32KernelTest, EveryLengthAndAlignmentMatchesReference) {
+  // Lengths 0-1024 cross the 64-byte folding threshold, every count of
+  // 64-byte steps and 16-byte folds up to 16, and every tail size; each
+  // start offset 0-63 moves the 16-byte loads across a cache line.
+  std::printf("[ dispatch ] crc32: %s\n", data::Crc32Kernel());
+  const std::vector<char> bytes = NoiseBytes(64 + 1024, 0xC5C5);
+  for (size_t offset = 0; offset < 64; ++offset) {
+    for (size_t size = 0; size <= 1024; ++size) {
+      const auto seed = static_cast<uint32_t>(
+          rng::HashCombine(offset, size) | 1u);
+      const char* at = bytes.data() + offset;
+      ASSERT_EQ(data::Crc32(at, size, seed), RefCrc32(at, size, seed))
+          << "offset " << offset << ", " << size << " bytes";
+    }
+  }
+}
+
+TEST(Crc32KernelTest, ResumedCallsMatchAtEverySplit) {
+  // A streamed record folds its CRC piece by piece (RecordWriter,
+  // RecordReader). Splitting at every point puts one, both or neither
+  // piece over the 64-byte threshold, with every tail size on each side.
+  const std::vector<char> bytes = NoiseBytes(300 + 7, 0x5EED);
+  const char* base = bytes.data() + 7;  // off the 16-byte grid
+  for (size_t size = 0; size <= 300; ++size) {
+    for (uint32_t seed : {0u, 0x9E3779B9u}) {
+      const uint32_t whole = RefCrc32(base, size, seed);
+      for (size_t split = 0; split <= size; ++split) {
+        ASSERT_EQ(data::Crc32(base + split, size - split,
+                              data::Crc32(base, split, seed)),
+                  whole)
+            << size << " bytes split at " << split << ", seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32KernelTest, SixtyFourMiBBufferMatchesReference) {
+  // The whole train_sharded dataset's size: millions of 64-byte steps
+  // through one folding chain.
+  const std::vector<char> bytes = NoiseBytes(size_t{64} << 20, 0xB16);
+  EXPECT_EQ(data::Crc32(bytes.data(), bytes.size(), 0x12345678u),
+            RefCrc32(bytes.data(), bytes.size(), 0x12345678u));
 }
 
 }  // namespace
