@@ -1,15 +1,21 @@
 // Serving-layer benchmark (src/serving): online nearest-center QPS and
 // latency across the shapes the README "Serving" table reports.
 //
-//   * AssignOneSingleThread — the scalar per-query baseline.
+//   * AssignOneSingleThread — the per-query baseline (one-row panel
+//     scan).
 //   * UnbatchedThreads — N serving threads each calling AssignOne
-//     directly on the shared snapshot (no coordination, scalar scans).
+//     directly on the shared snapshot (no coordination, one-row scans).
 //   * BatchedThreads — the same N threads going through RequestBatcher:
 //     concurrent queries coalesce under the latency bound and are
 //     answered by one blocked-engine pass over the frozen panels. The
 //     QPS ratio of these two at 8 threads is the serving layer's
-//     headline number (acceptance: >= 4x).
+//     headline number (acceptance: >= 4x). BatchedThreadsAdaptive is the
+//     same loop with adaptive sizing on.
 //   * AssignBatchThroughput — the bulk Predict path (rows/s).
+//   * AssignBulk — 64-row bulk requests at perfbench serve_zipf's tenant
+//     shape (k = 4096, d = 64) over flat, clustered-pruned and
+//     diffuse-pruned indexes (rows/s).
+//   * AcquireSnapshot — the snapshot read every flushed batch pays.
 //   * SwapUnderLoad — thread 0 continuously builds + publishes fresh
 //     snapshots while the remaining threads query; demonstrates that hot
 //     swaps never block readers (reader QPS stays within noise of the
@@ -35,8 +41,11 @@
 #include <vector>
 
 #include "clustering/cost.h"
+#include "common/math_util.h"
 #include "matrix/dataset.h"
+#include "matrix/dataset_view.h"
 #include "matrix/matrix.h"
+#include "parallel/parallel_for.h"
 #include "parallel/thread_pool.h"
 #include "rng/rng.h"
 #include "rng/zipf.h"
@@ -55,9 +64,10 @@ using serving::RequestBatcherOptions;
 
 // A serving-scale catalog: k in the thousands is the regime the paper's
 // "heavy traffic" scenario implies (large center sets, small queries),
-// and it is where batching pays — one query is a 2M-flop scalar scan,
-// so coalescing 8 of them into a blocked engine pass amortizes both the
-// flops (register tiling) and the scheduler wakeups.
+// and it is where batching pays — one query is a k·d = 512k
+// multiply-add scan that streams every panel for one row, so
+// coalescing 8 of them into a blocked engine pass amortizes both the
+// panel traffic (register tiling) and the scheduler wakeups.
 constexpr int64_t kK = 4096;
 constexpr int64_t kD = 128;
 constexpr int64_t kQueries = 4096;  // query pool cycled by every thread
@@ -112,14 +122,10 @@ void BM_UnbatchedThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_UnbatchedThreads)->Threads(8)->UseRealTime();
 
-void BM_BatchedThreads(benchmark::State& state) {
+// Eight closed-loop threads through one batcher with default options;
+// `adaptive` switches on adaptive sizing (default idle_close_us).
+void RunBatchedThreads(benchmark::State& state, RequestBatcher* batcher) {
   Fixture& f = SharedFixture(kK, kD);
-  static RequestBatcher* batcher = [] {
-    RequestBatcherOptions options;
-    options.max_batch = 64;
-    options.max_delay_us = 200;
-    return new RequestBatcher(&SharedFixture(kK, kD).server, options);
-  }();
   int64_t i = state.thread_index() * 37;
   for (auto _ : state) {
     // Admission control is off (default options), so every query is
@@ -138,7 +144,29 @@ void BM_BatchedThreads(benchmark::State& state) {
                   static_cast<double>(stats.batches);
   }
 }
+
+RequestBatcher* SharedBatcher(bool adaptive) {
+  auto make = [](bool adaptive_batch) {
+    RequestBatcherOptions options;
+    options.max_batch = 64;
+    options.max_delay_us = 200;
+    options.adaptive_batch = adaptive_batch;
+    return new RequestBatcher(&SharedFixture(kK, kD).server, options);
+  };
+  static RequestBatcher* fixed = make(false);
+  static RequestBatcher* adaptive_batcher = make(true);
+  return adaptive ? adaptive_batcher : fixed;
+}
+
+void BM_BatchedThreads(benchmark::State& state) {
+  RunBatchedThreads(state, SharedBatcher(false));
+}
 BENCHMARK(BM_BatchedThreads)->Threads(8)->UseRealTime();
+
+void BM_BatchedThreadsAdaptive(benchmark::State& state) {
+  RunBatchedThreads(state, SharedBatcher(true));
+}
+BENCHMARK(BM_BatchedThreadsAdaptive)->Threads(8)->UseRealTime();
 
 // --- Bulk path -----------------------------------------------------------
 
@@ -152,6 +180,87 @@ void BM_AssignBatchThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kQueries);
 }
 BENCHMARK(BM_AssignBatchThroughput);
+
+// --- Bulk requests at the serving shape ----------------------------------
+
+// perfbench serve_zipf's tenant shape: k = 4096 centers in d = 64, either
+// clustered (64 blob means at spread 10, unit jitter) or diffuse
+// (isotropic, spread 10), and a 4096-row query pool that is half blob
+// rows, half off-mode rows. A bulk request assigns 64 consecutive pool
+// rows through AssignBatch, the registry's AssignBulk path.
+constexpr int64_t kBulkK = 4096;
+constexpr int64_t kBulkDim = 64;
+constexpr int64_t kBulkRows = 64;
+
+struct BulkFixture {
+  Matrix pool;
+  std::shared_ptr<const CenterIndex> index[3];  // flat, clustered, diffuse
+};
+
+const BulkFixture& SharedBulkFixture() {
+  static const BulkFixture* fixture = [] {
+    constexpr int64_t kBlobs = 64;
+    constexpr double kSpread = 10;
+    rng::Rng rng(2024);
+    Matrix blobs(kBlobs, kBulkDim);
+    for (int64_t i = 0; i < blobs.size(); ++i) {
+      blobs.data()[i] = rng.NextGaussian(0, kSpread);
+    }
+    Matrix clustered(kBulkK, kBulkDim), diffuse(kBulkK, kBulkDim);
+    for (int64_t i = 0; i < kBulkK; ++i) {
+      for (int64_t j = 0; j < kBulkDim; ++j) {
+        clustered.At(i, j) = blobs.At(i % kBlobs, j) + rng.NextGaussian();
+        diffuse.At(i, j) = rng.NextGaussian(0, kSpread);
+      }
+    }
+    auto* f = new BulkFixture;
+    f->pool = Matrix(kQueries, kBulkDim);
+    for (int64_t i = 0; i < kQueries; ++i) {
+      const int64_t blob = static_cast<int64_t>(rng.NextBounded(kBlobs));
+      for (int64_t j = 0; j < kBulkDim; ++j) {
+        f->pool.At(i, j) = i % 2 == 0 ? blobs.At(blob, j) + rng.NextGaussian()
+                                      : rng.NextGaussian(0, kSpread);
+      }
+    }
+    CenterIndexOptions pruned;
+    pruned.enable_pruning = true;
+    f->index[0] = CenterIndex::Build(Matrix(clustered));
+    f->index[1] = CenterIndex::Build(std::move(clustered), pruned);
+    f->index[2] = CenterIndex::Build(std::move(diffuse), pruned);
+    return f;
+  }();
+  return *fixture;
+}
+
+// Rows/s of 64-row bulk requests; arg 0 = flat, 1 = clustered pruned,
+// 2 = diffuse pruned.
+void BM_AssignBulk(benchmark::State& state) {
+  const BulkFixture& f = SharedBulkFixture();
+  const CenterIndex& index = *f.index[state.range(0)];
+  int64_t start = 0;
+  for (auto _ : state) {
+    const InMemorySource block(
+        ConstMatrixView(f.pool.Row(start), kBulkRows, kBulkDim),
+        /*weights=*/nullptr, /*labels=*/nullptr);
+    benchmark::DoNotOptimize(index.AssignBatch(block));
+    start = (start + 97) % (kQueries - kBulkRows);
+  }
+  state.SetItemsProcessed(state.iterations() * kBulkRows);
+  const char* const kLabels[] = {"flat", "clustered_pruned",
+                                 "diffuse_pruned"};
+  state.SetLabel(kLabels[state.range(0)]);
+}
+BENCHMARK(BM_AssignBulk)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+
+// Snapshot acquisition, the one shared step of every flushed batch.
+void BM_AcquireSnapshot(benchmark::State& state) {
+  Fixture& f = SharedFixture(kK, kD);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.server.Acquire());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AcquireSnapshot)->Threads(1)->Threads(4)->UseRealTime();
 
 // --- Hot swap under load -------------------------------------------------
 
@@ -517,6 +626,55 @@ void BM_PrunedServingSmoke(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PrunedServingSmoke);
+
+void BM_AssignBulkSmoke(benchmark::State& state) {
+  // Bitwise gate for bulk requests at tiny sizes: AssignBatch over flat
+  // and pruned indexes (diffuse centers, whose tiles go flat, and
+  // clustered ones, whose tiles walk) must equal one-row AssignRange
+  // answers folded with a Kahan loop on the fixed chunk grid.
+  const int64_t d = 48;
+  const Matrix diffuse = RandomMatrix(96, d, 121);
+  const Matrix clustered = ClusteredMatrix(96, d, 6, 122, 123);
+  const Matrix queries = ClusteredMatrix(130, d, 6, 122, 124);
+  CenterIndexOptions opts;
+  opts.enable_pruning = true;
+  opts.min_prune_k = 1;
+  for (auto _ : state) {
+    for (const Matrix* centers : {&diffuse, &clustered}) {
+      const auto flat = CenterIndex::Build(Matrix(*centers));
+      const auto pruned = CenterIndex::Build(Matrix(*centers), opts);
+      for (const int64_t n : {int64_t{1}, int64_t{9}, int64_t{64},
+                              int64_t{130}}) {
+        KahanSum total;
+        std::vector<int32_t> expect(static_cast<size_t>(n));
+        for (const IndexRange& c : MakeChunks(n, kDeterministicChunks)) {
+          KahanSum partial;
+          for (int64_t i = c.begin; i < c.end; ++i) {
+            double d2 = 0;
+            flat->AssignRange(queries.view(), IndexRange{i, i + 1},
+                              &expect[static_cast<size_t>(i)], &d2);
+            partial.Add(d2);
+          }
+          total.Merge(partial);
+        }
+        const InMemorySource block(
+            ConstMatrixView(queries.data(), n, d), /*weights=*/nullptr,
+            /*labels=*/nullptr);
+        for (const CenterIndex* index : {flat.get(), pruned.get()}) {
+          const Assignment got = index->AssignBatch(block);
+          if (got.cluster != expect || got.cost != total.Total()) {
+            std::fprintf(stderr,
+                         "FATAL: bulk assignment diverged from per-row "
+                         "answers\n");
+            std::exit(1);
+          }
+        }
+      }
+    }
+    state.SetItemsProcessed(state.items_processed() + 2 * 204);
+  }
+}
+BENCHMARK(BM_AssignBulkSmoke);
 
 void BM_OverloadShedSmoke(benchmark::State& state) {
   // Deterministic overload: max_pending = 1 with a parked leader means

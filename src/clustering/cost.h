@@ -15,6 +15,9 @@
 #ifndef KMEANSLL_CLUSTERING_COST_H_
 #define KMEANSLL_CLUSTERING_COST_H_
 
+#include <cstdint>
+#include <functional>
+
 #include "clustering/types.h"
 #include "distance/nearest.h"
 #include "matrix/dataset.h"
@@ -23,6 +26,30 @@
 #include "parallel/thread_pool.h"
 
 namespace kmeansll {
+
+/// Nearest-center evaluator over a row range of a pinned block, with
+/// NearestCenterSearch::FindRange's contract: writes out_d2 (and
+/// out_index when non-null) indexed i - rows.begin. `point_norms` may be
+/// null.
+using NearestRangeFn =
+    std::function<void(ConstMatrixView points, IndexRange rows,
+                       const double* point_norms, int32_t* out_index,
+                       double* out_d2)>;
+
+/// The reduction skeleton shared by ReduceNearestWithSearch and the
+/// pruned CenterIndex::AssignBatch: evaluates `find` over every row of
+/// `data` and folds w_x · d² into per-chunk Kahan partials on the fixed
+/// kDeterministicChunks grid, combined in chunk order. When every chunk
+/// holds at least kPointTile rows, rows are evaluated chunk by chunk.
+/// Smaller inputs are evaluated in tiles of at least kPointTile rows
+/// (the whole input without a pool) before the same fold, so a short
+/// request reaches the engine as one block rather than as one-row
+/// slivers. `find` must give each row a value that depends only on the
+/// row, which makes both schedules bitwise identical at any pool size.
+/// `out_cluster` (length n) and `point_norms` (length n) may be null.
+double ReduceNearest(const DatasetSource& data, const NearestRangeFn& find,
+                     ThreadPool* pool, const double* point_norms,
+                     int32_t* out_cluster);
 
 /// The reduction behind ComputeCost / ComputeAssignment, over a
 /// caller-provided frozen search: one panel scan of `search`'s centers

@@ -260,18 +260,51 @@ void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
   const int64_t n = rows.size();
   if (n <= 0) return;
   const int64_t g = p.coarse_centers.rows();
+  const int64_t active = static_cast<int64_t>(p.active_groups.size());
   const double* group_norms = p.norms.empty() ? nullptr : p.norms.data();
-  const int64_t probe_limit = options_.approx_probes > 0
-                                  ? options_.approx_probes
-                                  : std::numeric_limits<int64_t>::max();
+  const bool exact = options_.approx_probes <= 0;
+  const int64_t probe_limit = exact ? std::numeric_limits<int64_t>::max()
+                                    : options_.approx_probes;
 
   int64_t scanned_total = 0;
   int64_t pruned_total = 0;
   std::vector<double> pn_storage;
-  std::vector<double> coarse_d2(
+  // Coarse distances, turned in place into per-group lower bounds.
+  std::vector<double> lb(
       static_cast<size_t>(std::min<int64_t>(n, kQueryTile) * g));
   std::vector<std::pair<double, int32_t>> order;
   order.reserve(p.active_groups.size());
+  // Seeded bests of a multi-row exact tile: each row's nearest-coarse
+  // group, scanned up front.
+  struct Seed {
+    double d2 = kInf;
+    int32_t orig = -1;
+    int32_t group = -1;
+  };
+  std::vector<Seed> seeds;
+
+  // Scans group j for one row and merges its winner into (best_d2,
+  // best_orig). The group winner is already the in-group lexicographic
+  // min (strict-< over ascending original order); group winners merge
+  // lexicographically on (d², original index) since groups arrive in
+  // bound order, not index order.
+  auto scan_group = [&](const ConstMatrixView& row_view,
+                        const double* row_norm, int32_t j, double* best_d2,
+                        int32_t* best_orig) {
+    double gd2 = kInf;
+    int32_t gidx = -1;
+    BatchNearestMergeSubset(
+        row_view, IndexRange{0, 1}, row_norm, p.panels, group_norms,
+        p.kernel,
+        IndexRange{p.group_begin[static_cast<size_t>(j)],
+                   p.group_begin[static_cast<size_t>(j) + 1]},
+        &gd2, &gidx);
+    const int32_t orig = p.perm_to_orig[static_cast<size_t>(gidx)];
+    if (gd2 < *best_d2 || (gd2 == *best_d2 && orig < *best_orig)) {
+      *best_d2 = gd2;
+      *best_orig = orig;
+    }
+  };
 
   for (int64_t tb = 0; tb < n; tb += kQueryTile) {
     const int64_t te = std::min(tb + kQueryTile, n);
@@ -293,55 +326,83 @@ void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
     }
     p.coarse->DistancesRange(points,
                              IndexRange{rows.begin + tb, rows.begin + te},
-                             pn, coarse_d2.data());
+                             pn, lb.data());
+    auto slack_of = [&](int64_t i) {
+      return kPruneSlackRel * (2.0 + p.max_center_len + std::sqrt(pn[i]));
+    };
+    auto row_view = [&](int64_t i) {
+      return ConstMatrixView(points.Row(rows.begin + tb + i), 1, d);
+    };
+
+    // A multi-row exact tile first scans each row's nearest-coarse group
+    // (argmin of the coarse distances, lowest group on ties) and counts
+    // the row × group slots whose bound that best cannot exclude. Where
+    // more than half survive, the walk would visit most groups one row
+    // at a time, so the tile is answered by the flat panels in one
+    // blocked scan instead. Both return the exact lexicographic minimum
+    // on (d², original index), so the answers are bitwise the walk's.
+    const bool seeded = exact && tn >= 2;
+    if (seeded) seeds.assign(static_cast<size_t>(tn), Seed{});
+    int64_t survivors = 0;
     for (int64_t i = 0; i < tn; ++i) {
-      const double* cd = coarse_d2.data() + i * g;
-      const double row_norm = pn[i];
-      const double slack =
-          kPruneSlackRel * (2.0 + p.max_center_len + std::sqrt(row_norm));
+      double* row_lb = lb.data() + i * g;
+      int32_t nearest = -1;
+      if (seeded) {
+        for (const int32_t j : p.active_groups) {
+          if (nearest < 0 || row_lb[j] < row_lb[nearest]) nearest = j;
+        }
+      }
+      for (const int32_t j : p.active_groups) {
+        row_lb[j] = std::sqrt(row_lb[j]) -
+                    p.group_radius[static_cast<size_t>(j)];
+      }
+      if (!seeded) continue;
+      Seed& seed = seeds[static_cast<size_t>(i)];
+      seed.group = nearest;
+      scan_group(row_view(i), pn + i, nearest, &seed.d2, &seed.orig);
+      const double slack = slack_of(i);
+      const double best = std::sqrt(seed.d2);
+      for (const int32_t j : p.active_groups) {
+        if (!(row_lb[j] - slack > best)) ++survivors;
+      }
+    }
+    if (seeded && 2 * survivors > tn * active) {
+      // Counted as pruned queries that scanned every group.
+      search_.FindRange(points, IndexRange{rows.begin + tb, rows.begin + te},
+                        pn, out_index == nullptr ? nullptr : out_index + tb,
+                        out_d2 + tb);
+      scanned_total += tn * active;
+      continue;
+    }
+
+    for (int64_t i = 0; i < tn; ++i) {
+      const double* row_lb = lb.data() + i * g;
+      const double slack = slack_of(i);
       // Visit groups in ascending lower-bound order; once one group's
       // bound clears the running best, every later group's does too, so
       // the scan stops (break, not continue).
       order.clear();
       for (const int32_t j : p.active_groups) {
-        order.emplace_back(std::sqrt(cd[j]) -
-                               p.group_radius[static_cast<size_t>(j)],
-                           j);
+        order.emplace_back(row_lb[j], j);
       }
       std::sort(order.begin(), order.end());
 
-      double best_d2 = kInf;
-      int32_t best_orig = -1;
-      int64_t scanned = 0;
-      ConstMatrixView row_view(points.Row(rows.begin + tb + i), 1, d);
-      for (size_t oi = 0; oi < order.size(); ++oi) {
+      const Seed seed = seeded ? seeds[static_cast<size_t>(i)] : Seed{};
+      double best_d2 = seed.d2;
+      int32_t best_orig = seed.orig;
+      int64_t scanned = seeded ? 1 : 0;
+      const ConstMatrixView view = row_view(i);
+      for (const auto& [bound, j] : order) {
         if (scanned >= probe_limit ||
-            (best_orig >= 0 &&
-             order[oi].first - slack > std::sqrt(best_d2))) {
-          pruned_total += static_cast<int64_t>(order.size() - oi);
+            (best_orig >= 0 && bound - slack > std::sqrt(best_d2))) {
           break;
         }
-        const int32_t j = order[oi].second;
-        double gd2 = kInf;
-        int32_t gidx = -1;
-        BatchNearestMergeSubset(
-            row_view, IndexRange{0, 1}, &row_norm, p.panels, group_norms,
-            p.kernel,
-            IndexRange{p.group_begin[static_cast<size_t>(j)],
-                       p.group_begin[static_cast<size_t>(j) + 1]},
-            &gd2, &gidx);
+        if (j == seed.group) continue;
+        scan_group(view, pn + i, j, &best_d2, &best_orig);
         ++scanned;
-        // The group winner is already the in-group lexicographic min
-        // (strict-< over ascending original order); merge group winners
-        // lexicographically on (d², original index) since groups arrive
-        // in bound order, not index order.
-        const int32_t orig = p.perm_to_orig[static_cast<size_t>(gidx)];
-        if (gd2 < best_d2 || (gd2 == best_d2 && orig < best_orig)) {
-          best_d2 = gd2;
-          best_orig = orig;
-        }
       }
       scanned_total += scanned;
+      pruned_total += active - scanned;
       if (out_index != nullptr) out_index[tb + i] = best_orig;
       out_d2[tb + i] = best_d2;
     }
@@ -473,21 +534,11 @@ void CenterIndex::PrunedFindTopMRange(ConstMatrixView points,
 }
 
 NearestResult CenterIndex::AssignOne(const double* point) const {
-  if (pruned_ != nullptr) {
-    int32_t idx = -1;
-    double d2 = kInf;
-    PrunedFindRange(ConstMatrixView(point, 1, dim()), IndexRange{0, 1},
-                    /*point_norms=*/nullptr, &idx, &d2);
-    NearestResult r;
-    r.index = idx;
-    r.distance2 = d2;
-    return r;
-  }
-  if (options_.enable_pruning) {
-    stat_exact_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    GetPruneMetrics().exact_fallbacks->Increment(static_cast<int64_t>(1));
-  }
-  return search_.Find(point);
+  int32_t index = -1;
+  double d2 = kInf;
+  AssignRange(ConstMatrixView(point, 1, dim()), IndexRange{0, 1}, &index,
+              &d2);
+  return NearestResult{index, d2};
 }
 
 void CenterIndex::AssignRange(ConstMatrixView points, IndexRange rows,
@@ -533,33 +584,15 @@ Assignment CenterIndex::AssignBatch(const DatasetSource& data,
                                        out.cluster.data());
     return out;
   }
-  // Pruned reduction mirroring ReduceNearestWithSearch's skeleton — same
-  // chunk grid, same block walk, same per-chunk Kahan chains combined in
-  // chunk order. The pruned per-row d² are bitwise the flat scan's (in
-  // exact mode), so the whole fold — indices AND cost — is too.
-  const ScanSchedule schedule = MakeScanSchedule(data, data.n(), pool);
-  auto map = [&](IndexRange r) {
-    KahanSum partial;
-    ForEachBlock(data, r.begin, r.end, [&](const DatasetView& v) {
-      const int64_t first = v.first_row();
-      std::vector<double> d2(static_cast<size_t>(v.rows()));
-      PrunedFindRange(v.points(), IndexRange{0, v.rows()},
-                      point_norms == nullptr ? nullptr
-                                             : point_norms + first,
-                      out.cluster.data() + first, d2.data());
-      for (int64_t i = 0; i < v.rows(); ++i) {
-        partial.Add(v.Weight(i) * d2[static_cast<size_t>(i)]);
-      }
-    });
-    return partial;
-  };
-  auto combine = [](KahanSum a, KahanSum b) {
-    a.Merge(b);
-    return a;
-  };
-  out.cost = ParallelReduce<KahanSum>(pool, data.n(), KahanSum(), map,
-                                      combine, &schedule)
-                 .Total();
+  // The pruned per-row d² are bitwise the flat scan's (in exact mode),
+  // so the shared reduction's fold — indices AND cost — is too.
+  out.cost = ReduceNearest(
+      data,
+      [this](ConstMatrixView points, IndexRange rows, const double* norms,
+             int32_t* index, double* d2) {
+        PrunedFindRange(points, rows, norms, index, d2);
+      },
+      pool, point_norms, out.cluster.data());
   return out;
 }
 

@@ -32,8 +32,8 @@
 // ReduceNearestWithSearch) over this index's frozen panels, so its
 // Assignment — indices, cost, and tie resolution — is bitwise identical
 // to ComputeAssignment on the same centers at any pool size. AssignOne
-// is the engine's scalar reference path (bitwise-consistent per pair),
-// and AssignTopM's slot 0 is bitwise the AssignOne result. The pruned
+// is AssignRange on one row, and AssignTopM's slot 0 is bitwise the
+// AssignOne result. The pruned
 // exact mode PRESERVES all of this bitwise: per-pair engine values never
 // depend on panel placement, the in-group permutation keeps ascending
 // original order (so in-group strict-< ties resolve like the flat scan),
@@ -41,7 +41,10 @@
 // and the skip test subtracts a conservative floating-point slack from
 // the bound before comparing strictly — a skipped group's members are
 // provably strictly farther than the running best, so neither values nor
-// tie resolution can change. Only the opt-in approximate mode
+// tie resolution can change. A multi-row exact tile whose own bounds
+// cannot skip most groups is answered by the flat panels in one blocked
+// scan instead of the walk (see PrunedFindRange) — the flat scan is the
+// same exact lexicographic minimum. Only the opt-in approximate mode
 // (approx_probes > 0) may diverge, by bounding how many groups are
 // scanned; MeasureApproxRecall reports the resulting recall.
 
@@ -102,7 +105,8 @@ struct CenterIndexOptions {
 /// over the snapshot's lifetime — a publish/swap starts fresh ones.
 /// Invariant for pruned queries: groups_scanned + groups_pruned ==
 /// queries × (non-empty group count); approximate-mode probe cutoffs
-/// count the unvisited remainder as pruned.
+/// count the unvisited remainder as pruned, and a row of a tile answered
+/// by the flat panels counts as a pruned query that scanned every group.
 struct PruneStats {
   int64_t queries = 0;          ///< queries answered via the pruned path
   int64_t groups_scanned = 0;   ///< groups that reached the engine
@@ -163,10 +167,11 @@ class CenterIndex {
   /// Current prune-effectiveness counters (see PruneStats).
   PruneStats prune_stats() const;
 
-  /// Nearest center for one point (`point` has dim() coordinates).
-  /// Scalar engine path — the right call for a single ad-hoc query; high
-  /// request rates should go through serving::RequestBatcher, which
-  /// coalesces concurrent callers onto AssignRange.
+  /// Nearest center for one point (`point` has dim() coordinates):
+  /// AssignRange on one row, through the panel engine. The right call
+  /// for a single ad-hoc query; high request rates should go through
+  /// serving::RequestBatcher, which coalesces concurrent callers onto
+  /// one multi-row AssignRange.
   NearestResult AssignOne(const double* point) const;
 
   /// Nearest center + squared distance for rows [rows.begin, rows.end)
@@ -236,8 +241,12 @@ class CenterIndex {
   void BuildPruned(ThreadPool* pool);
 
   /// Pruned-path FindRange: per-row adaptive group scans, bitwise equal
-  /// to the flat FindRange in exact mode. `point_norms` (range-relative,
-  /// SquaredNorm chain) may be null.
+  /// to the flat FindRange in exact mode. In exact mode a tile of two or
+  /// more rows first scans each row's nearest-coarse group; if more than
+  /// half of the tile's row × group slots survive that best's bounds,
+  /// the tile is answered by search_ in one FindRange, otherwise the
+  /// walk resumes from the seeded best. Single rows always walk.
+  /// `point_norms` (range-relative, SquaredNorm chain) may be null.
   void PrunedFindRange(ConstMatrixView points, IndexRange rows,
                        const double* point_norms, int32_t* out_index,
                        double* out_d2) const;

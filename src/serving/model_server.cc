@@ -74,10 +74,24 @@ const BatcherMetrics& GetBatcherMetrics() {
 }
 }  // namespace
 
-ModelServer::ModelServer(std::shared_ptr<const CenterIndex> initial) {
-  KMEANSLL_CHECK(initial != nullptr);
-  snapshot_.store(std::move(initial), std::memory_order_release);
+ModelServer::ModelServer(std::shared_ptr<const CenterIndex> initial)
+    : snapshot_(std::move(initial)) {
+  KMEANSLL_CHECK(snapshot_ != nullptr);
   StampPublish();
+}
+
+std::shared_ptr<const CenterIndex> ModelServer::Acquire() const {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
+}
+
+void ModelServer::Install(std::shared_ptr<const CenterIndex> next) {
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_.swap(next);
+  }
+  // `next` now holds the replaced snapshot; if this was its last
+  // reference it is freed here, outside the readers' lock.
 }
 
 void ModelServer::StampPublish() {
@@ -102,7 +116,7 @@ Status ModelServer::Publish(std::shared_ptr<const CenterIndex> next) {
         " does not match served dimension " +
         std::to_string(current->dim()));
   }
-  snapshot_.store(std::move(next), std::memory_order_release);
+  Install(std::move(next));
   publishes_.fetch_add(1, std::memory_order_relaxed);
   PublishesCounter()->Increment();
   StampPublish();
@@ -158,12 +172,10 @@ Status ModelServer::Refine(const RefineFn& fn) {
   }
   // Build-then-swap: panels, norms, and (when enabled) the pruned
   // two-level index are packed here, outside any reader's path, and the
-  // finished index is installed in one store. Options carry over from
+  // finished index is installed in one swap. Options carry over from
   // the current snapshot so refinement never silently drops pruning.
-  snapshot_.store(CenterIndex::Build(std::move(next_centers),
-                                     current->options(),
-                                     current->version() + 1),
-                  std::memory_order_release);
+  Install(CenterIndex::Build(std::move(next_centers), current->options(),
+                             current->version() + 1));
   refines_.fetch_add(1, std::memory_order_relaxed);
   publishes_.fetch_add(1, std::memory_order_relaxed);
   RefinesCounter()->Increment();
@@ -239,15 +251,18 @@ int64_t RequestBatcher::EstimatedLatencyUs() const {
 }
 
 int64_t RequestBatcher::EffectiveBatchLimit() const {
-  if (!options_.adaptive_batch || ewma_gap_ns_ <= 0) {
-    return options_.max_batch;
-  }
-  // Expected joins over the leader's wait window at the observed
-  // arrival rate, plus the leader itself. Gaps below 1us saturate to
-  // the ceiling (the +1 guards the division, not the clamp).
-  const int64_t expected =
-      options_.max_delay_us * 1000 / ewma_gap_ns_ + 1;
-  return std::clamp(expected, options_.min_batch, options_.max_batch);
+  if (!options_.adaptive_batch) return options_.max_batch;
+  // Joins a leader opening now can expect before it closes: the smoothed
+  // join count of ended chains, or the running chain's when that is
+  // larger (sustained load never ends a chain), rounded to the nearest
+  // whole join (an EWMA of a steady count approaches it from one side).
+  // Under half a join opens at the floor, so a lone leader does not wait
+  // for nobody; otherwise the batch fills, and flushes, as the last
+  // expected query joins.
+  const double expected =
+      std::max(ewma_joins_, static_cast<double>(chain_joins_));
+  return std::clamp(static_cast<int64_t>(expected + 0.5) + 1,
+                    options_.min_batch, options_.max_batch);
 }
 
 Result<NearestResult> RequestBatcher::Assign(const double* point) {
@@ -288,14 +303,37 @@ Result<NearestResult> RequestBatcher::Assign(const double* point) {
     }
     const auto arrived = std::chrono::steady_clock::now();
     if (options_.adaptive_batch) {
-      // Arrival-rate EWMA over admitted queries (1/4 weight on the
-      // newest gap, like the scan EWMA): feeds EffectiveBatchLimit.
-      if (last_arrival_.time_since_epoch().count() != 0) {
-        const int64_t gap_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                arrived - last_arrival_).count();
-        ewma_gap_ns_ =
-            ewma_gap_ns_ == 0 ? gap_ns : (3 * ewma_gap_ns_ + gap_ns) / 4;
+      // Join chains: a query that finds a batch open joins it. One that
+      // finds none would have joined a batch opened at the start of the
+      // current chain if another caller is still inside Assign (a
+      // caller's own next query cannot join its batch) and it arrives
+      // before that leader's max_delay_us deadline and, with an idle
+      // close, within idle_close_us of the previous admission. So a
+      // limit at the floor still sees the joins it forgoes. A join
+      // extends the chain; anything else ends it and starts the next,
+      // and the ended chain's join count feeds the EWMA (1/4 weight on
+      // the newest, like the scan EWMA) behind EffectiveBatchLimit.
+      bool joins = open_ != nullptr;
+      if (!joins && pending_ > 0) {
+        auto close_at =
+            chain_start_ + std::chrono::microseconds(options_.max_delay_us);
+        if (options_.idle_close_us > 0) {
+          close_at = std::min(
+              close_at, last_arrival_ + std::chrono::microseconds(
+                                            options_.idle_close_us));
+        }
+        joins = arrived < close_at;
+      }
+      if (joins) {
+        ++chain_joins_;
+      } else {
+        if (last_arrival_.time_since_epoch().count() != 0) {
+          ewma_joins_ = ewma_joins_ < 0
+                            ? static_cast<double>(chain_joins_)
+                            : (3 * ewma_joins_ + chain_joins_) / 4;
+        }
+        chain_joins_ = 0;
+        chain_start_ = arrived;
       }
       last_arrival_ = arrived;
     }

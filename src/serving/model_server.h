@@ -2,24 +2,26 @@
 // snapshots.
 //
 // ModelServer is an RCU-style snapshot holder. Readers acquire the
-// current CenterIndex as a shared_ptr via std::atomic<std::shared_ptr>
-// and keep serving from it for as long as they hold the reference.
-// Precision about the read path: libstdc++ implements the atomic
-// shared_ptr with an embedded lock-bit spin protocol (is_lock_free()
-// reports false), so Acquire is "a few atomic ops, never an OS mutex,
-// never blocked behind a writer's long critical section" rather than
-// formally lock-free — the writer's store inside Publish is itself just
-// a pointer swap, so the window a reader can spin on is a handful of
-// instructions, and crucially the EXPENSIVE part of a swap (building
-// the replacement index: packing panels, computing norms) happens
-// entirely before the store. Writers build a complete replacement index
-// off to the side and install it with that one swap
-// ("build-then-swap"), so a hot model swap never blocks a reader behind
-// index construction and a reader never observes a half-updated model:
-// queries in flight finish on the old snapshot, queries that acquire
-// after the swap see the new one, and the old index is freed when its
-// last reader drops it. bench/bm_serving.cc's SwapUnderLoad measures
-// the real cost: reader QPS under continuous swaps vs. undisturbed. This is the multi-version read
+// current CenterIndex as a shared_ptr and keep serving from it for as
+// long as they hold the reference. Acquire copies the pointer under a
+// mutex that only the pointer copy and the writers' pointer swap ever
+// hold: a reader waits at most for one swap of two words, never for
+// index construction. The EXPENSIVE part of a swap (building the
+// replacement index: packing panels, computing norms) happens entirely
+// before the swap, and the replaced snapshot is released after the
+// mutex is dropped. std::atomic<std::shared_ptr> is deliberately not
+// used: libstdc++ 12's load() releases its embedded lock bit with a
+// relaxed RMW, so a reader's plain read of the stored pointer is not
+// ordered before a writer's next plain write — a data race under the C++
+// memory model, which gcc's ThreadSanitizer reports against the hot-swap
+// test. Writers build a complete replacement index off to the side and
+// install it with that one swap ("build-then-swap"), so a hot model swap
+// never blocks a reader behind index construction and a reader never
+// observes a half-updated model: queries in flight finish on the old
+// snapshot, queries that acquire after the swap see the new one, and the
+// old index is freed when its last reader drops it.
+// bench/bm_serving.cc's SwapUnderLoad measures the real cost: reader QPS
+// under continuous swaps vs. undisturbed. This is the multi-version read
 // path the serving layer needs when a background refinement pass
 // (minibatch/streaming) periodically republishes centers (cf. snapshot-
 // versioned index structures like MV-PBT: lookups proceed untouched
@@ -31,10 +33,10 @@
 // becomes the batch's leader and waits up to max_delay_us for followers,
 // then runs ONE engine pass (CenterIndex::AssignRange over the frozen
 // panels) for the whole batch and hands each caller its slot. Per-point
-// work drops from a scalar k·d scan to a blocked, register-tiled scan
-// amortized across the batch — bench/bm_serving.cc measures the
-// difference. Every batch acquires its snapshot at flush time, so a
-// batcher transparently follows hot swaps.
+// work drops from a one-row panel scan to a blocked, register-tiled scan
+// that reuses each panel across the batch's rows — bench/bm_serving.cc
+// measures the difference. Every batch acquires its snapshot at flush
+// time, so a batcher transparently follows hot swaps.
 //
 // Under sustained overload the batcher degrades gracefully instead of
 // queueing without bound: RequestBatcherOptions::max_pending caps the
@@ -67,11 +69,11 @@
 
 namespace kmeansll::serving {
 
-/// Atomic holder of the currently served CenterIndex snapshot.
-/// Reader methods (Acquire, published_version) never take a mutex and
-/// are safe from any thread (see the file comment for the exact
-/// guarantee); writer methods (Publish, Refine*) serialize among
-/// themselves on an internal mutex that readers never touch.
+/// Holder of the currently served CenterIndex snapshot. Reader methods
+/// (Acquire, published_version) are safe from any thread and hold the
+/// snapshot mutex only for one shared_ptr copy (see the file comment);
+/// writer methods (Publish, Refine*) serialize among themselves on a
+/// separate writer mutex that readers never touch.
 class ModelServer {
  public:
   /// Starts serving `initial` (must be non-null).
@@ -83,18 +85,17 @@ class ModelServer {
   /// alive across any number of queries; re-Acquire to observe swaps.
   /// High-QPS readers should hold one Acquire across many queries (the
   /// batcher acquires once per flushed batch, not per point).
-  std::shared_ptr<const CenterIndex> Acquire() const {
-    return snapshot_.load(std::memory_order_acquire);
-  }
+  std::shared_ptr<const CenterIndex> Acquire() const;
 
   /// Version tag of the current snapshot.
   uint64_t published_version() const { return Acquire()->version(); }
 
   /// Installs `next` as the served snapshot (build-then-swap; the swap
-  /// itself is one atomic store). The replacement must match the current
-  /// snapshot's dimension — in-flight batched queries were validated
-  /// against it — but may change k freely. Fails on null or dim
-  /// mismatch; on failure the served snapshot is unchanged.
+  /// itself is one pointer swap under the snapshot mutex). The
+  /// replacement must match the current snapshot's dimension — in-flight
+  /// batched queries were validated against it — but may change k freely.
+  /// Fails on null or dim mismatch; on failure the served snapshot is
+  /// unchanged.
   Status Publish(std::shared_ptr<const CenterIndex> next);
 
   /// Loads a KMLLMODL artifact from `path` and publishes it as the next
@@ -154,7 +155,12 @@ class ModelServer {
   /// the stale flag). Callers hold writer_mu_ or are the constructor.
   void StampPublish();
 
-  std::atomic<std::shared_ptr<const CenterIndex>> snapshot_;
+  /// Swaps `next` in as the served snapshot; the replaced one is
+  /// released after snapshot_mu_ is dropped. Callers hold writer_mu_.
+  void Install(std::shared_ptr<const CenterIndex> next);
+
+  mutable std::mutex snapshot_mu_;  // guards snapshot_ only
+  std::shared_ptr<const CenterIndex> snapshot_;
   std::mutex writer_mu_;  // serializes Publish/Refine, never readers
   std::atomic<int64_t> publishes_{0};
   std::atomic<int64_t> publish_failed_{0};
@@ -183,14 +189,20 @@ struct RequestBatcherOptions {
   /// 0 disables (wait for full or deadline).
   int64_t idle_close_us = 20;
   /// Adaptive sizing: when true, the batch-full threshold tracks the
-  /// observed arrival rate instead of sitting at max_batch. Each batch
-  /// opens with limit clamp(expected arrivals within max_delay_us,
-  /// min_batch, max_batch), where the expectation comes from an EWMA of
-  /// admitted inter-arrival gaps. Under light load batches close at the
-  /// handful of queries that will realistically coalesce (no pointless
-  /// tail-waiting); under heavy load the limit grows back to max_batch
-  /// and the engine gets full panels. max_batch stays the hard ceiling;
-  /// results are unaffected (batch splits never change per-pair values).
+  /// joins the batcher observes instead of sitting at max_batch. Each
+  /// batch opens with limit clamp(expected joins + 1, min_batch,
+  /// max_batch), where the expectation is an EWMA of how many queries
+  /// joined, or would have joined, each recent leader before its close:
+  /// queries that found another caller in flight and arrived inside the
+  /// leader's wait window (before max_delay_us and, when idle_close_us >
+  /// 0, within idle_close_us of the previous arrival). Sparse or
+  /// sequential traffic, where fewer than one join is expected, opens at
+  /// min_batch, so a lone leader flushes at once instead of waiting for
+  /// a follower that does not come; a burst of concurrent callers opens
+  /// at its observed size and flushes as its last member joins; under
+  /// sustained load the limit grows to max_batch and the engine gets
+  /// full panels. max_batch stays the hard ceiling; results are
+  /// unaffected (batch splits never change per-pair values).
   bool adaptive_batch = false;
   /// Floor for the adaptive limit (only read when adaptive_batch).
   int64_t min_batch = 1;
@@ -268,7 +280,7 @@ class RequestBatcher {
     int64_t shed = 0;             ///< queries rejected with kUnavailable
     int64_t deadline_misses = 0;  ///< served but past max_latency_us
     /// Batch-full threshold the next batch would open with: max_batch
-    /// when adaptive sizing is off, the current rate-derived limit in
+    /// when adaptive sizing is off, the current join-derived limit in
     /// [min_batch, max_batch] when it is on.
     int64_t adaptive_batch_limit = 0;
   };
@@ -309,8 +321,13 @@ class RequestBatcher {
   bool shutdown_ = false;     ///< set by Shutdown(); sheds new arrivals
   int64_t pending_ = 0;       ///< callers inside Assign, admitted not done
   int64_t ewma_scan_us_ = 0;  ///< smoothed batch scan time (0 until seen)
-  int64_t ewma_gap_ns_ = 0;   ///< smoothed admitted inter-arrival gap
+  // Join chains (adaptive sizing only; see Assign). A chain is a run of
+  // admissions each of which would have joined a batch opened at its
+  // first; chain_joins_ counts the running chain's joins.
   std::chrono::steady_clock::time_point last_arrival_;  ///< newest admit
+  std::chrono::steady_clock::time_point chain_start_;   ///< chain's first
+  int64_t chain_joins_ = 0;
+  double ewma_joins_ = -1;  ///< smoothed joins per ended chain (< 0: none)
 };
 
 }  // namespace kmeansll::serving

@@ -25,10 +25,10 @@
 //
 // Each tenant's batcher can run with adaptive sizing
 // (RequestBatcherOptions::adaptive_batch): the batch-full threshold
-// tracks that tenant's observed arrival rate, so a cold tenant's
+// tracks the joins that tenant's leaders observe, so a cold tenant's
 // occasional query flushes at once while a hot tenant's flood coalesces
-// into full engine panels — per-tenant, because arrival rates differ
-// per tenant. Per-query end-to-end latency (admission through answer)
+// into full engine panels — per-tenant, because traffic differs per
+// tenant. Per-query end-to-end latency (admission through answer)
 // is recorded into the tenant's LatencyHistogram, whose snapshot() is
 // per-cell tear-free on the IoStats atomic-cell pattern; stats(name)
 // bundles it with the batcher/server counters so a scraper gets QPS,
@@ -110,9 +110,10 @@ class ServerRegistry {
   Status PublishFromFile(const std::string& name, const std::string& path);
   Status Refine(const std::string& name, const ModelServer::RefineFn& fn);
 
-  /// The tenant's current snapshot (reader-side; lock-free once the
-  /// name resolves). Mostly for tests and bulk callers that want to pin
-  /// one version across several operations.
+  /// The tenant's current snapshot (reader-side; one pointer copy under
+  /// the tenant's snapshot mutex once the name resolves). Mostly for
+  /// tests and bulk callers that want to pin one version across several
+  /// operations.
   Result<std::shared_ptr<const CenterIndex>> AcquireSnapshot(
       const std::string& name) const;
 

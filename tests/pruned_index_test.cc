@@ -292,6 +292,100 @@ TEST(PrunedIndexTest, PruneStatsInvariants) {
   EXPECT_GT(s.groups_pruned, 0);
 }
 
+// Per-call counter deltas of one index.
+PruneStats Delta(const PruneStats& after, const PruneStats& before) {
+  PruneStats d;
+  d.queries = after.queries - before.queries;
+  d.groups_scanned = after.groups_scanned - before.groups_scanned;
+  d.groups_pruned = after.groups_pruned - before.groups_pruned;
+  d.exact_fallbacks = after.exact_fallbacks - before.exact_fallbacks;
+  return d;
+}
+
+// A multi-row tile whose bounds cannot skip most groups is answered by
+// the flat panels in one scan and counted as full scans; a tile whose
+// bounds can keeps walking. Single-row queries never go flat. Every
+// path stays bitwise equal to a flat twin.
+TEST(PrunedIndexTest, TilesThatCannotSkipGoFlat) {
+  const int64_t k = 1024, d = 64, rows = 64;
+  struct Case {
+    const char* name;
+    Matrix centers;
+    Matrix queries;
+    bool expect_flat;
+  };
+  Case cases[] = {
+      {"diffuse", RandomMatrix(k, d, 71, 10.0),
+       RandomMatrix(rows, d, 72, 10.0), true},
+      {"clustered", ClusteredMatrix(k, d, 32, 73), Matrix(), false},
+  };
+  // Clustered queries: the first centers, jittered, so they share the
+  // centers' blobs.
+  cases[1].queries = RandomMatrix(rows, d, 74, 0.5);
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < d; ++j) {
+      cases[1].queries.At(i, j) += cases[1].centers.At(i, j);
+    }
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto flat = CenterIndex::Build(Matrix(c.centers));
+    const auto pruned =
+        CenterIndex::Build(Matrix(c.centers), PrunedOptions());
+    ASSERT_TRUE(pruned->pruned());
+
+    // Single rows: the walk, with every group scanned or pruned.
+    std::vector<int32_t> one_index(rows);
+    std::vector<double> one_d2(rows);
+    const PruneStats before_single = pruned->prune_stats();
+    int64_t active = 0;
+    for (int64_t i = 0; i < rows; ++i) {
+      const PruneStats before = pruned->prune_stats();
+      const NearestResult r = pruned->AssignOne(c.queries.Row(i));
+      const PruneStats row = Delta(pruned->prune_stats(), before);
+      ASSERT_EQ(row.queries, 1);
+      ASSERT_GE(row.groups_scanned, 1);
+      if (active == 0) active = row.groups_scanned + row.groups_pruned;
+      ASSERT_EQ(row.groups_scanned + row.groups_pruned, active);
+      one_index[static_cast<size_t>(i)] = static_cast<int32_t>(r.index);
+      one_d2[static_cast<size_t>(i)] = r.distance2;
+    }
+    const PruneStats single = Delta(pruned->prune_stats(), before_single);
+    // Even the diffuse index skips some groups one row at a time: single
+    // rows are not routed flat.
+    EXPECT_GT(single.groups_pruned, 0);
+
+    // The same rows as one tile.
+    std::vector<int32_t> tile_index(rows), flat_index(rows);
+    std::vector<double> tile_d2(rows), flat_d2(rows);
+    const PruneStats before_tile = pruned->prune_stats();
+    pruned->AssignRange(c.queries.view(), IndexRange{0, rows},
+                        tile_index.data(), tile_d2.data());
+    const PruneStats tile = Delta(pruned->prune_stats(), before_tile);
+    EXPECT_EQ(tile.queries, rows);
+    EXPECT_EQ(tile.exact_fallbacks, 0);
+    EXPECT_EQ(tile.groups_scanned + tile.groups_pruned, rows * active);
+    if (c.expect_flat) {
+      EXPECT_EQ(tile.groups_scanned, rows * active);
+      EXPECT_EQ(tile.groups_pruned, 0);
+    } else {
+      EXPECT_GT(tile.groups_pruned, rows * active / 2);
+      // Each row's walk ends in its nearest-coarse group here, so the
+      // seeded walk scans no group the single-row walk did not.
+      EXPECT_LE(tile.groups_scanned, single.groups_scanned);
+    }
+
+    flat->AssignRange(c.queries.view(), IndexRange{0, rows},
+                      flat_index.data(), flat_d2.data());
+    EXPECT_EQ(tile_index, flat_index);
+    EXPECT_EQ(tile_d2, flat_d2);
+    EXPECT_EQ(one_index, flat_index);
+    EXPECT_EQ(one_d2, flat_d2);
+    EXPECT_EQ(pruned->AssignBatch(Dataset(Matrix(c.queries))).cost,
+              flat->AssignBatch(Dataset(Matrix(c.queries))).cost);
+  }
+}
+
 TEST(PrunedIndexTest, FallbackBelowMinPruneK) {
   CenterIndexOptions o;
   o.enable_pruning = true;
