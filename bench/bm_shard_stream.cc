@@ -3,15 +3,13 @@
 // with an unbounded window (every shard stays mapped after first touch)
 // and with a window of three shards (the eviction/re-map regime, where
 // every pass must re-map almost every shard) — against the in-memory
-// Dataset path. The windowed variants run with the prefetch pipeline on
-// and off so the I/O/compute overlap is directly visible: the
-// "stall_ms" counter is the time scan threads spent blocked on shard
-// I/O inside Pin, and "hit_pct" is the fraction of shard activations
-// served by the background prefetcher instead of a demand map. A
-// pool-parallel variant exercises the shard-parallel scan schedule. Raw
-// view-iteration throughput is measured separately so the mmap/fault
-// overhead is visible without the distance kernel. BM_Crc32 measures
-// the checksum every shard write and first map runs over its bytes.
+// Dataset path. The windowed variants report "stall_ms", the time scan
+// threads spent blocked on shard I/O inside Pin (demand maps and waits
+// on another thread's map), and "evictions". A pool-parallel variant
+// exercises the shard-parallel scan schedule. Raw view-iteration
+// throughput is measured separately so the mmap/fault overhead is
+// visible without the distance kernel. BM_Crc32 measures the checksum
+// every shard write and first map runs over its bytes.
 //
 // Items processed = rows streamed, so all scan variants compare
 // directly; BM_Crc32 reports bytes/s and labels the dispatched kernel.
@@ -60,10 +58,10 @@ Matrix RandomCenters(int64_t k, int64_t d, uint64_t seed) {
 /// Streams `data` into kNumShards shard files through the ShardWriter
 /// sink (the ingest path: block-sized appends, no WriteShards/full-
 /// dataset dependency) and opens the result with the given window
-/// (0 = unbounded) and prefetch setting.
+/// (0 = unbounded).
 std::unique_ptr<data::ShardedDataset> OpenSharded(
-    const Dataset& data, const std::string& tag, int64_t max_resident_bytes,
-    bool enable_prefetch = true) {
+    const Dataset& data, const std::string& tag,
+    int64_t max_resident_bytes) {
   std::string manifest = "/tmp/bm_shard_stream_" + tag + ".kml";
   data::ShardWriter::Options write_options;
   write_options.rows_per_shard =
@@ -87,7 +85,6 @@ std::unique_ptr<data::ShardedDataset> OpenSharded(
 
   data::ShardedDatasetOptions options;
   options.max_resident_bytes = max_resident_bytes;
-  options.enable_prefetch = enable_prefetch;
   auto sharded = data::ShardedDataset::Open(manifest, options);
   if (!sharded.ok()) return nullptr;
   return std::make_unique<data::ShardedDataset>(
@@ -95,27 +92,18 @@ std::unique_ptr<data::ShardedDataset> OpenSharded(
 }
 
 /// Window covering roughly three of the kNumShards shards: small enough
-/// that every streamed pass evicts and re-maps (the cold-window regime
-/// the prefetcher exists for), large enough to double-buffer the next
-/// shard while one is pinned.
+/// that every streamed pass evicts and re-maps (the cold-window regime).
 int64_t ThreeShardWindow(int64_t n, int64_t d) {
   return 3 * (32 + (n / kNumShards + 1) * d * 8);
 }
 
-/// Attaches the prefetch-pipeline counters to the benchmark state.
+/// Attaches the residency-window counters to the benchmark state.
 void ReportIoCounters(benchmark::State& state,
                       const data::ShardedDataset& sharded) {
   auto stats = sharded.io_stats();
   state.counters["evictions"] = static_cast<double>(stats.evictions);
   state.counters["stall_ms"] =
       static_cast<double>(stats.stall_nanos) * 1e-6;
-  const double activations = static_cast<double>(stats.prefetch_hits) +
-                             static_cast<double>(stats.maps) -
-                             static_cast<double>(stats.prefetch_completed);
-  state.counters["hit_pct"] =
-      activations > 0
-          ? 100.0 * static_cast<double>(stats.prefetch_hits) / activations
-          : 0.0;
 }
 
 void StreamGrid(benchmark::internal::Benchmark* b) {
@@ -154,12 +142,9 @@ BENCHMARK(BM_CostShardedResident)->Apply(StreamGrid);
 
 void BM_CostShardedWindowed(benchmark::State& state) {
   const int64_t n = state.range(0), k = state.range(1), d = state.range(2);
-  const bool prefetch = state.range(3) != 0;
   Dataset data = RandomData(n, d, 1);
   Matrix centers = RandomCenters(k, d, 2);
-  auto sharded =
-      OpenSharded(data, prefetch ? "windowed_pf" : "windowed_nopf",
-                  ThreeShardWindow(n, d), prefetch);
+  auto sharded = OpenSharded(data, "windowed", ThreeShardWindow(n, d));
   if (sharded == nullptr) {
     state.SkipWithError("shard setup failed");
     return;
@@ -170,23 +155,15 @@ void BM_CostShardedWindowed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   ReportIoCounters(state, *sharded);
 }
-BENCHMARK(BM_CostShardedWindowed)
-    ->Args({65536, 64, 32, 0})
-    ->Args({65536, 64, 32, 1})
-    ->Args({65536, 64, 128, 0})
-    ->Args({65536, 64, 128, 1});
+BENCHMARK(BM_CostShardedWindowed)->Apply(StreamGrid);
 
 // Pool-parallel windowed cost scan: the shard-aware ScanSchedule fans
-// the chunk grid out so concurrent workers pin distinct shards and each
-// worker's next shard is hinted ahead of its cursor.
+// the chunk grid out so concurrent workers pin distinct shards.
 void BM_CostShardedWindowedPool(benchmark::State& state) {
   const int64_t n = state.range(0), k = state.range(1), d = state.range(2);
-  const bool prefetch = state.range(3) != 0;
   Dataset data = RandomData(n, d, 1);
   Matrix centers = RandomCenters(k, d, 2);
-  auto sharded =
-      OpenSharded(data, prefetch ? "pool_pf" : "pool_nopf",
-                  ThreeShardWindow(n, d), prefetch);
+  auto sharded = OpenSharded(data, "pool", ThreeShardWindow(n, d));
   if (sharded == nullptr) {
     state.SkipWithError("shard setup failed");
     return;
@@ -198,23 +175,18 @@ void BM_CostShardedWindowedPool(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   ReportIoCounters(state, *sharded);
 }
-BENCHMARK(BM_CostShardedWindowedPool)
-    ->Args({65536, 64, 32, 0})
-    ->Args({65536, 64, 32, 1})
-    ->Args({65536, 64, 128, 0})
-    ->Args({65536, 64, 128, 1});
+// Real time: the calling thread idles in the pool's Wait, so rows/s
+// over its CPU time would read ~100x the real rate.
+BENCHMARK(BM_CostShardedWindowedPool)->Apply(StreamGrid)->UseRealTime();
 
 // --- Raw streaming throughput (no distance kernel) -----------------------
-// The I/O-bound extreme: each row is touched once, so demand page faults
-// are a large fraction of the scan and the overlap shows up directly in
-// rows/sec, not just in the stall counter.
+// The I/O-bound extreme: each row is touched once, so the map syscall
+// and the demand page faults are a large fraction of the scan.
 
 void BM_StreamRowsWindowed(benchmark::State& state) {
   const int64_t n = state.range(0), d = state.range(2);
-  const bool prefetch = state.range(3) != 0;
   Dataset data = RandomData(n, d, 1);
-  auto sharded = OpenSharded(data, prefetch ? "raw_pf" : "raw_nopf",
-                             ThreeShardWindow(n, d), prefetch);
+  auto sharded = OpenSharded(data, "raw", ThreeShardWindow(n, d));
   if (sharded == nullptr) {
     state.SkipWithError("shard setup failed");
     return;
@@ -230,12 +202,8 @@ void BM_StreamRowsWindowed(benchmark::State& state) {
   ReportIoCounters(state, *sharded);
 }
 BENCHMARK(BM_StreamRowsWindowed)
-    ->Args({65536, 64, 32, 0})
-    ->Args({65536, 64, 32, 1})
-    ->Args({65536, 64, 128, 0})
-    ->Args({65536, 64, 128, 1})
-    ->Args({262144, 64, 128, 0})
-    ->Args({262144, 64, 128, 1});
+    ->Apply(StreamGrid)
+    ->Args({262144, 64, 128});
 
 // --- CRC-32 kernel throughput --------------------------------------------
 // data::Crc32 runs over shard writes and first-map payload checks,
@@ -286,23 +254,18 @@ void BM_SmokeShardStream(benchmark::State& state) {
   const int64_t n = 512, k = 8, d = 16;
   Dataset data = RandomData(n, d, 1);
   Matrix centers = RandomCenters(k, d, 2);
-  // ShardWriter-produced shards, tight window, prefetch on and off, on
-  // a 4-thread pool (shard-parallel schedule) — every regime must be
-  // bitwise the in-memory cost.
-  auto with_prefetch = OpenSharded(data, "smoke_pf",
-                                   ThreeShardWindow(n, d), true);
-  auto without_prefetch = OpenSharded(data, "smoke_nopf",
-                                      ThreeShardWindow(n, d), false);
-  if (with_prefetch == nullptr || without_prefetch == nullptr) {
+  // ShardWriter-produced shards through a tight window on a 4-thread
+  // pool (shard-parallel schedule) must give bitwise the in-memory cost.
+  auto sharded = OpenSharded(data, "smoke", ThreeShardWindow(n, d));
+  if (sharded == nullptr) {
     state.SkipWithError("shard setup failed");
     return;
   }
   const double expected = ComputeCost(data, centers);
   ThreadPool pool(4);
   for (auto _ : state) {
-    double cost = ComputeCost(*with_prefetch, centers, &pool);
-    if (cost != expected ||
-        ComputeCost(*without_prefetch, centers, &pool) != expected) {
+    double cost = ComputeCost(*sharded, centers, &pool);
+    if (cost != expected) {
       state.SkipWithError("sharded cost diverged from in-memory cost");
       return;
     }

@@ -68,10 +68,9 @@ int main(int argc, char** argv) {
             << n << " points in R^" << params.dim << "\n";
 
   // 3. Reopen out-of-core: a window of ~3 shards means roughly a third
-  //    of the data is memory-mapped at any moment; the LRU evicts the
-  //    rest as the scans stream by, while the background prefetcher
-  //    (on by default) maps and warms each next shard ahead of the scan
-  //    cursor so the streaming passes stay compute-bound.
+  //    of the data is memory-mapped at any moment; each pin maps its
+  //    shard on demand and the LRU evicts the rest as the scans stream
+  //    by.
   const int64_t shard_bytes =
       32 + rows_per_shard * params.dim * 8 + rows_per_shard * 4;
   data::ShardedDatasetOptions open_options;
@@ -103,10 +102,7 @@ int main(int argc, char** argv) {
   std::cout << "io: " << stats.maps << " shard maps, " << stats.evictions
             << " evictions, peak resident " << stats.peak_resident_bytes
             << " bytes (window " << open_options.max_resident_bytes
-            << ")\n";
-  std::cout << "prefetch: " << stats.prefetch_issued << " issued, "
-            << stats.prefetch_hits << " hits, " << stats.prefetch_wasted
-            << " wasted; scan threads stalled on shard I/O for "
+            << "); scan threads stalled on shard I/O for "
             << stats.stall_nanos / 1000000.0 << " ms total\n";
 
   // 5. Determinism check: the in-memory run must match bitwise.

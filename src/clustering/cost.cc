@@ -33,9 +33,8 @@ double ReduceNearest(const DatasetSource& data, const NearestRangeFn& find,
   if (n >= kDeterministicChunks * kPointTile) {
     // Every chunk holds at least one engine tile: evaluate and fold chunk
     // by chunk. Shard-aware execution over an out-of-core source: workers
-    // take chunks from disjoint shard spans and hint each span's next
-    // shard ahead of its cursor. Timing only — the fold stays in chunk
-    // order, so the result is bitwise the unscheduled one.
+    // take chunks from disjoint shard spans. Timing only — the fold stays
+    // in chunk order, so the result is bitwise the unscheduled one.
     const ScanSchedule schedule = MakeScanSchedule(data, n, pool);
     auto map = [&](IndexRange r) {
       KahanSum partial;

@@ -126,16 +126,7 @@ Result<LloydResult> RunLloydElkan(const DatasetSource& data,
       // Full initialization: exact distances to every center, one
       // blocked pass chunked on the deterministic grid, written straight
       // into the n × k lower-bound table.
-      std::vector<IndexRange> chunks = MakeChunks(n, kDeterministicChunks);
-      for (size_t ci = 0; ci < chunks.size(); ++ci) {
-        const IndexRange& r = chunks[ci];
-        // Warm the next chunk's shards while this chunk's k-wide
-        // distance rows compute — the bound-init gather is the one Elkan
-        // pass not covered by ForEachBlock's own tail hints (each
-        // DistancesRange call only sees its own chunk). Advisory only.
-        if (ci + 1 < chunks.size()) {
-          data.PrefetchHint(chunks[ci + 1].begin, chunks[ci + 1].end);
-        }
+      for (const IndexRange& r : MakeChunks(n, kDeterministicChunks)) {
         chunk_d2.resize(static_cast<size_t>(r.size() * k));
         search.DistancesRange(data, r,
                               pn == nullptr ? nullptr : pn + r.begin,

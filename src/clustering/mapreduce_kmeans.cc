@@ -29,24 +29,20 @@ void CountPass(const MRContext& ctx) {
   }
 }
 
-/// Builds the job's input partitions and installs the prefetch-aware
-/// execution plan for them. Partition BOUNDARIES always come from
+/// Builds the job's input partitions and installs the shard-aware
+/// submission order for them. Partition BOUNDARIES always come from
 /// MakePartitions — per-task partial sums fold over those row groups, so
 /// keeping them fixed is what makes MR results bitwise identical between
 /// in-memory and sharded sources. On top of that, when the source
-/// exposes residency units, MakeMapTaskSchedule supplies (a) a
-/// submission order that starts each concurrent wave on distinct shards
-/// even when the partition count does not match the shard count
-/// (partitions subdividing a shard would otherwise pile the wave onto
-/// it), and (b) per-task hints for the next partition of the same
-/// worker's shard span, issued by the task prologue while the current
-/// task scans (see DatasetSource::PrefetchHint; advisory, so neither
-/// lever can change results). Sources without residency units keep the
-/// plain one-pool-width-ahead hint.
+/// exposes residency units, MakeMapTaskSchedule supplies a submission
+/// order that starts each concurrent wave on distinct shards even when
+/// the partition count does not match the shard count (partitions
+/// subdividing a shard would otherwise pile the wave onto it); order
+/// cannot change results.
 template <typename JobT>
-std::vector<DataPartition> PartitionsWithPrefetch(const DatasetSource& data,
-                                                  const MRContext& ctx,
-                                                  JobT* job) {
+std::vector<DataPartition> ScheduledPartitions(const DatasetSource& data,
+                                               const MRContext& ctx,
+                                               JobT* job) {
   std::vector<DataPartition> parts =
       MakePartitions(data, ctx.num_partitions);
   const int64_t workers =
@@ -55,20 +51,7 @@ std::vector<DataPartition> PartitionsWithPrefetch(const DatasetSource& data,
       mapreduce::MakeMapTaskSchedule(data, parts, workers);
   if (!schedule.order.empty()) {
     job->WithSubmissionOrder(std::move(schedule.order));
-    job->WithPrologue(
-        [&data, hints = std::move(schedule.hints)](int64_t t) {
-          const auto& [begin, end] = hints[static_cast<size_t>(t)];
-          if (begin < end) data.PrefetchHint(begin, end);
-        });
-    return parts;
   }
-  job->WithPrologue([parts, workers](int64_t t) {
-    const auto next = static_cast<size_t>(t + workers);
-    if (next < parts.size()) {
-      parts[next].source->PrefetchHint(parts[next].begin,
-                                       parts[next].end);
-    }
-  });
   return parts;
 }
 
@@ -122,7 +105,7 @@ Result<double> MRComputeCost(const DatasetSource& data,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -195,7 +178,7 @@ Result<double> RunUpdateCostJob(const DatasetSource& data,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -249,7 +232,7 @@ Result<std::vector<int64_t>> RunSamplingJob(
         .WithCounters(ctx.counters);
     ApplyFaultPolicy(&job, ctx, &job_error);
     auto outputs =
-        job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));
+        job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
     if (job_error.ok()) chosen = std::move(outputs[0]);
   } else {
     Job<DataPartition, int, std::vector<ExactCandidate>,
@@ -313,7 +296,7 @@ Result<std::vector<int64_t>> RunSamplingJob(
         .WithCounters(ctx.counters);
     ApplyFaultPolicy(&job, ctx, &job_error);
     auto outputs =
-        job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));
+        job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
     if (job_error.ok()) chosen = std::move(outputs[0]);
   }
   CountPass(ctx);
@@ -359,7 +342,7 @@ Result<std::vector<double>> RunWeightJob(const DatasetSource& data,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -517,7 +500,7 @@ Result<InitResult> MRRandomInit(const DatasetSource& data, int64_t k,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -607,7 +590,7 @@ Result<InitResult> MRPartitionInit(const DatasetSource& data, int64_t k,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -766,7 +749,7 @@ Result<LloydResult> MRRunLloyd(const DatasetSource& data,
     ApplyFaultPolicy(&job, ctx, &job_error);
 
     auto outputs =
-        job.Run(ctx.pool, PartitionsWithPrefetch(data, ctx, &job));
+        job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
     CountPass(ctx);
     KMEANSLL_RETURN_NOT_OK(job_error);
     KMEANSLL_RETURN_NOT_OK(data.status());

@@ -419,20 +419,6 @@ PinnedBlock LiveDataset::Pin(int64_t begin, int64_t end) const {
   return PinnedBlock(view.Slice(local, local_end), [seg] {});
 }
 
-void LiveDataset::PrefetchHint(int64_t begin, int64_t end) const {
-  Impl* impl = impl_.get();
-  std::shared_ptr<ShardedDataset> sealed_sp;
-  int64_t sealed_end = 0;
-  {
-    std::lock_guard<std::mutex> lock(impl->snap_mu);
-    sealed_sp = impl->sealed;
-    sealed_end = impl->sealed_n;
-  }
-  if (sealed_sp != nullptr && begin < sealed_end) {
-    sealed_sp->PrefetchHint(begin, std::min(end, sealed_end));
-  }
-}
-
 std::vector<std::pair<int64_t, int64_t>> LiveDataset::ResidencyRanges()
     const {
   Impl* impl = impl_.get();

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <fstream>
 #include <map>
 #include <mutex>
-#include <thread>
 
 #if defined(_WIN32)
 #include <cstdlib>
@@ -41,10 +39,6 @@ struct ShardStoreMetrics {
   Counter* evictions;
   Gauge* resident_bytes;
   Gauge* peak_resident_bytes;
-  Counter* prefetch_issued;
-  Counter* prefetch_completed;
-  Counter* prefetch_hits;
-  Counter* prefetch_wasted;
   Counter* stall_ns;
   Counter* map_retries;
   Counter* map_failures;
@@ -54,22 +48,13 @@ const ShardStoreMetrics& ShardMetrics() {
   static const ShardStoreMetrics* m = [] {
     MetricsRegistry& r = MetricsRegistry::Global();
     return new ShardStoreMetrics{
-        r.GetCounter("kmll_shard_maps_total",
-                     "Shard mmaps published (demand plus prefetch)."),
+        r.GetCounter("kmll_shard_maps_total", "Shard mmaps published."),
         r.GetCounter("kmll_shard_evictions_total",
                      "Shards unmapped by the LRU resident window."),
         r.GetGauge("kmll_shard_resident_bytes",
                    "Bytes currently mapped across all shard stores."),
         r.GetGauge("kmll_shard_peak_resident_bytes",
                    "High-water mark of kmll_shard_resident_bytes."),
-        r.GetCounter("kmll_shard_prefetch_issued_total",
-                     "Shards enqueued by PrefetchHint."),
-        r.GetCounter("kmll_shard_prefetch_completed_total",
-                     "Prefetched shards fully page-warmed."),
-        r.GetCounter("kmll_shard_prefetch_hits_total",
-                     "Pins that found their shard prefetched."),
-        r.GetCounter("kmll_shard_prefetch_wasted_total",
-                     "Prefetched shards evicted before any pin."),
         r.GetCounter("kmll_shard_stall_ns_total",
                      "Nanoseconds scan threads blocked on shard I/O."),
         r.GetCounter("kmll_shard_map_retries_total",
@@ -420,10 +405,7 @@ struct ShardedDataset::Impl {
     int64_t pin_count = 0;
     uint64_t last_use = 0;
     bool mapping = false;    // a thread is mapping this shard right now
-    bool touching = false;   // prefetcher is warming pages (no unmap!)
-    bool queued = false;     // sitting in the prefetch queue
-    bool protected_ = false; // prefetched, not yet pinned: evict last
-    bool failed = false;     // demand map retry budget exhausted
+    bool failed = false;     // map retry budget exhausted
     Status fail_status;      // why (set once, with `failed`)
   };
 
@@ -436,10 +418,6 @@ struct ShardedDataset::Impl {
     std::atomic<int64_t> evictions{0};
     std::atomic<int64_t> resident_bytes{0};
     std::atomic<int64_t> peak_resident_bytes{0};
-    std::atomic<int64_t> prefetch_issued{0};
-    std::atomic<int64_t> prefetch_completed{0};
-    std::atomic<int64_t> prefetch_hits{0};
-    std::atomic<int64_t> prefetch_wasted{0};
     std::atomic<int64_t> stall_nanos{0};
     std::atomic<int64_t> map_retries{0};
     std::atomic<int64_t> map_failures{0};
@@ -450,16 +428,7 @@ struct ShardedDataset::Impl {
   std::vector<Shard> shards;
 
   mutable std::mutex mutex;
-  mutable std::condition_variable map_done;     // a map finished
-  mutable std::condition_variable prefetch_cv;  // queue/shutdown changed
-  mutable std::deque<size_t> prefetch_queue;
-  mutable std::thread prefetch_worker;  // lazily started by PrefetchHint
-  mutable int64_t protected_count = 0;
-  // Bytes held by outstanding prefetch work (queued shards plus mapped-
-  // but-never-pinned ones); bounds how much the pipeline can inflate
-  // residency ahead of the scan.
-  mutable int64_t prefetch_hold_bytes = 0;
-  mutable bool shutting_down = false;
+  mutable std::condition_variable map_done;  // a map finished
   mutable uint64_t use_tick = 0;
   mutable StatsCells stats;
   mutable bool total_weight_cached = false;
@@ -470,12 +439,6 @@ struct ShardedDataset::Impl {
   mutable std::map<size_t, std::unique_ptr<char[]>> fallbacks;
 
   ~Impl() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      shutting_down = true;
-      prefetch_cv.notify_all();
-    }
-    if (prefetch_worker.joinable()) prefetch_worker.join();
     for (Shard& shard : shards) {
       if (shard.base != nullptr) Unmap(shard);
     }
@@ -548,26 +511,6 @@ struct ShardedDataset::Impl {
     return Status::OK();
   }
 
-  /// Warms a published mapping: requests readahead and faults one byte
-  /// per page, off the scan threads' critical path. Reads only — a scan
-  /// may already be consuming the same (read-only) mapping concurrently.
-  static void TouchPages(const char* base, int64_t file_bytes) {
-#if !defined(_WIN32)
-    ::madvise(const_cast<char*>(base), static_cast<size_t>(file_bytes),
-              MADV_WILLNEED);
-    // Volatile reads: the loads have no observable use, and a plain
-    // loop could be dead-code-eliminated — silently reducing prefetch
-    // to the madvise hint and handing the faults back to the scan.
-    const volatile char* pages = base;
-    for (int64_t off = 0; off < file_bytes; off += 4096) {
-      (void)pages[off];
-    }
-#else
-    (void)base;
-    (void)file_bytes;
-#endif
-  }
-
   /// Publishes a finished mapping for `shard`. Caller holds `mutex`.
   void PublishMapping(Shard& shard, const char* base) {
     shard.base = base;
@@ -587,25 +530,9 @@ struct ShardedDataset::Impl {
     m.peak_resident_bytes->UpdateMax(m.resident_bytes->value());
   }
 
-  /// Drops `shard`'s hint from the prefetch queue and releases its hold,
-  /// because a demand map is about to make the shard resident. Left
-  /// queued, the hint would be popped after the scan had moved on and
-  /// the shard had been evicted: the prefetcher would map it again
-  /// behind the cursor, protected and unevictable while its pages are
-  /// touched, and push residency past the window plus the pinned shard.
-  /// Caller holds `mutex`.
-  void CancelQueuedPrefetch(Shard& shard) {
-    const auto index = static_cast<size_t>(&shard - shards.data());
-    prefetch_queue.erase(
-        std::find(prefetch_queue.begin(), prefetch_queue.end(), index));
-    shard.queued = false;
-    prefetch_hold_bytes -= shard.file_bytes;
-  }
-
   /// Ensures `shard` is resident, mapping it on demand (or waiting out a
-  /// map already in flight on another thread — the prefetcher's,
-  /// typically). A demand map first cancels the shard's queued hint, if
-  /// any. Transient map failures are retried with backoff under
+  /// map already in flight on another thread's pin of the same shard).
+  /// Transient map failures are retried with backoff under
   /// options.io_retry (with `mutex` released, so other shards' pins
   /// never serialize behind the backoff). Returns OK with `mutex` held
   /// and shard.base set — or, once the retry budget is exhausted, marks
@@ -629,7 +556,6 @@ struct ShardedDataset::Impl {
         ShardMetrics().stall_ns->Increment(waited);
         continue;
       }
-      if (shard.queued) CancelQueuedPrefetch(shard);
       shard.mapping = true;
       const bool verify_crc = shard.has_crc && !shard.crc_checked;
       lock.unlock();
@@ -688,123 +614,25 @@ struct ShardedDataset::Impl {
   }
 
   /// Evicts least-recently-used unpinned shards while over budget.
-  /// Prefetched-but-never-pinned shards are spared until no other
-  /// candidate remains (the double-buffer guarantee); reclaiming one
-  /// anyway counts as a wasted prefetch. Caller holds `mutex`.
+  /// Caller holds `mutex`.
   void EvictOverBudget() {
     if (options.max_resident_bytes <= 0) return;
     while (stats.resident_bytes.load(std::memory_order_relaxed) >
            options.max_resident_bytes) {
       Shard* victim = nullptr;
-      bool victim_protected = false;
-      for (bool consider_protected : {false, true}) {
-        for (Shard& shard : shards) {
-          if (shard.base == nullptr || shard.pin_count > 0 ||
-              shard.mapping || shard.touching ||
-              shard.protected_ != consider_protected) {
-            continue;
-          }
-          if (victim == nullptr || shard.last_use < victim->last_use) {
-            victim = &shard;
-          }
-        }
-        if (victim != nullptr) {
-          victim_protected = consider_protected;
-          break;
+      for (Shard& shard : shards) {
+        if (shard.base == nullptr || shard.pin_count > 0) continue;
+        if (victim == nullptr || shard.last_use < victim->last_use) {
+          victim = &shard;
         }
       }
-      if (victim == nullptr) return;  // everything resident is in use
-      if (victim_protected) {
-        victim->protected_ = false;
-        --protected_count;
-        prefetch_hold_bytes -= victim->file_bytes;
-        stats.prefetch_wasted.fetch_add(1, std::memory_order_relaxed);
-        ShardMetrics().prefetch_wasted->Increment();
-      }
+      if (victim == nullptr) return;  // everything resident is pinned
       Unmap(*victim);
       stats.resident_bytes.fetch_sub(victim->file_bytes,
                                      std::memory_order_relaxed);
       stats.evictions.fetch_add(1, std::memory_order_relaxed);
       ShardMetrics().resident_bytes->Add(-victim->file_bytes);
       ShardMetrics().evictions->Increment();
-    }
-  }
-
-  /// Background prefetcher: drains the hint queue. Each shard is mapped
-  /// and PUBLISHED immediately (the map syscall is cheap), then its
-  /// pages are touched with the mutex released — so a scan whose cursor
-  /// outruns the warming never waits on the prefetcher: it pins the
-  /// published mapping and at worst faults pages itself, exactly as it
-  /// would have without prefetch. Holds `mutex` only around state
-  /// transitions, never during I/O.
-  void PrefetchLoop() {
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-      prefetch_cv.wait(
-          lock, [&] { return shutting_down || !prefetch_queue.empty(); });
-      if (shutting_down) return;
-      const size_t index = prefetch_queue.front();
-      prefetch_queue.pop_front();
-      Shard& shard = shards[index];
-      shard.queued = false;
-      // Only an unmapped shard is queued, and a demand map cancels the
-      // hint before it starts, so the shard is still unmapped here.
-      KMEANSLL_DCHECK(shard.base == nullptr && !shard.mapping);
-      shard.mapping = true;
-      const bool verify_crc = shard.has_crc && !shard.crc_checked;
-      lock.unlock();
-      const char* base = nullptr;
-      int64_t retries = 0;
-      Status status;
-      {
-        KMEANSLL_TRACE_SPAN("shard.prefetch_map");
-        status = RetryTransient(
-            options.io_retry,
-            [&]() -> Status {
-              KMEANSLL_RETURN_NOT_OK(fault::Check("shard.prefetch"));
-              KMEANSLL_RETURN_NOT_OK(
-                  MapFile(shard.path, shard.file_bytes, &base));
-              if (verify_crc) {
-                Status crc = VerifyPayloadCrc(shard, base);
-                if (!crc.ok()) {
-                  UnmapRaw(base, shard.file_bytes);
-                  base = nullptr;
-                  return crc;
-                }
-              }
-              return Status::OK();
-            },
-            &retries);
-      }
-      lock.lock();
-      shard.mapping = false;
-      if (status.ok() && verify_crc) shard.crc_checked = true;
-      stats.map_retries.fetch_add(retries, std::memory_order_relaxed);
-      ShardMetrics().map_retries->Increment(retries);
-      if (!status.ok()) {
-        // A prefetch failure must never take down the scan: leave the
-        // shard unmapped (NOT failed) so the demand path gets its own
-        // retry budget and is the one to surface a clean error.
-        prefetch_hold_bytes -= shard.file_bytes;
-        map_done.notify_all();
-        continue;
-      }
-      PublishMapping(shard, base);
-      shard.protected_ = true;
-      ++protected_count;
-      shard.touching = true;  // pins may proceed; eviction may not
-      map_done.notify_all();
-      lock.unlock();
-      {
-        KMEANSLL_TRACE_SPAN("shard.prefetch_warm");
-        TouchPages(base, shard.file_bytes);
-      }
-      lock.lock();
-      shard.touching = false;
-      stats.prefetch_completed.fetch_add(1, std::memory_order_relaxed);
-      ShardMetrics().prefetch_completed->Increment();
-      EvictOverBudget();
-      if (shutting_down) return;
     }
   }
 
@@ -943,71 +771,10 @@ ShardedDataset::IoStats ShardedDataset::io_stats() const {
       cells.resident_bytes.load(std::memory_order_relaxed);
   out.peak_resident_bytes =
       cells.peak_resident_bytes.load(std::memory_order_relaxed);
-  out.prefetch_issued =
-      cells.prefetch_issued.load(std::memory_order_relaxed);
-  out.prefetch_completed =
-      cells.prefetch_completed.load(std::memory_order_relaxed);
-  out.prefetch_hits = cells.prefetch_hits.load(std::memory_order_relaxed);
-  out.prefetch_wasted =
-      cells.prefetch_wasted.load(std::memory_order_relaxed);
   out.stall_nanos = cells.stall_nanos.load(std::memory_order_relaxed);
   out.map_retries = cells.map_retries.load(std::memory_order_relaxed);
   out.map_failures = cells.map_failures.load(std::memory_order_relaxed);
   return out;
-}
-
-void ShardedDataset::PrefetchHint(int64_t begin, int64_t end) const {
-  Impl* impl = impl_.get();
-  if (!impl->options.enable_prefetch) return;
-  begin = std::max<int64_t>(begin, 0);
-  end = std::min(end, impl->manifest.n);
-  if (begin >= end) return;
-
-  std::lock_guard<std::mutex> lock(impl->mutex);
-  if (impl->shutting_down) return;
-  const size_t first = impl->ShardIndexOf(begin);
-  size_t last = impl->ShardIndexOf(end - 1);
-  const int64_t cap = std::max<int64_t>(impl->options.max_prefetch_shards,
-                                        1);
-  // Examine only the first few shards of the range: the cap means
-  // nothing beyond them could be enqueued anyway, and steady-state
-  // hints over a warm tail (ForEachBlock hints the whole remainder
-  // after every pin) must not degenerate into an O(shards) walk under
-  // the mutex every Pin serializes on.
-  last = std::min(last, first + static_cast<size_t>(cap));
-  bool enqueued = false;
-  for (size_t s = first; s <= last; ++s) {
-    Impl::Shard& shard = impl->shards[s];
-    if (shard.base != nullptr || shard.mapping || shard.queued) continue;
-    // Bound outstanding work: shards waiting in the queue plus shards
-    // the prefetcher mapped that no pin has consumed yet.
-    if (static_cast<int64_t>(impl->prefetch_queue.size()) +
-            impl->protected_count >=
-        cap) {
-      break;
-    }
-    // Never prefetch more than the LRU window can hold alongside a
-    // concurrently pinned shard: a hint the window cannot keep would
-    // only evict itself (or the shard the scan is on) before the cursor
-    // arrives. A window under two shards therefore disables prefetch —
-    // that degenerate configuration has no room to double-buffer.
-    if (impl->options.max_resident_bytes > 0 &&
-        impl->prefetch_hold_bytes + 2 * shard.file_bytes >
-            impl->options.max_resident_bytes) {
-      break;
-    }
-    shard.queued = true;
-    impl->prefetch_hold_bytes += shard.file_bytes;
-    impl->prefetch_queue.push_back(s);
-    impl->stats.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
-    ShardMetrics().prefetch_issued->Increment();
-    enqueued = true;
-  }
-  if (!enqueued) return;
-  if (!impl->prefetch_worker.joinable()) {
-    impl->prefetch_worker = std::thread([impl] { impl->PrefetchLoop(); });
-  }
-  impl->prefetch_cv.notify_one();
 }
 
 std::vector<std::pair<int64_t, int64_t>> ShardedDataset::ResidencyRanges()
@@ -1036,7 +803,6 @@ PinnedBlock ShardedDataset::Pin(int64_t begin, int64_t end) const {
     std::unique_lock<std::mutex> lock(impl->mutex);
     shard_index = impl->ShardIndexOf(begin);
     Impl::Shard& shard = impl->shards[shard_index];
-    const bool was_resident = shard.base != nullptr;
     const Status resident = impl->EnsureResident(lock, shard);
     if (!resident.ok()) {
       // Degraded pin: the shard's retry budget is spent. Serve the
@@ -1046,23 +812,11 @@ PinnedBlock ShardedDataset::Pin(int64_t begin, int64_t end) const {
       base = impl->FallbackBase(shard_index);
       degraded = true;
     } else {
-      if (shard.protected_) {
-        // First pin of a prefetched shard: the demand map (and its page
-        // faults) never happened on this thread. Protection ends here;
-        // from now on the shard ages out by plain LRU.
-        shard.protected_ = false;
-        --impl->protected_count;
-        impl->prefetch_hold_bytes -= shard.file_bytes;
-        if (was_resident) {
-          impl->stats.prefetch_hits.fetch_add(1,
-                                              std::memory_order_relaxed);
-          ShardMetrics().prefetch_hits->Increment();
-        }
-      }
       ++shard.pin_count;
       shard.last_use = ++impl->use_tick;
       // A fresh map may have pushed residency over the window; evict
-      // other, unpinned shards now.
+      // other, unpinned shards in the same critical section that
+      // published it.
       impl->EvictOverBudget();
       base = shard.base;
     }

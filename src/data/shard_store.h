@@ -149,46 +149,28 @@ struct ShardedDatasetOptions {
   /// unbounded. Pinned shards never evict, so a window smaller than one
   /// shard degenerates to exactly-one-resident-at-a-time streaming.
   int64_t max_resident_bytes = 0;
-  /// Honor PrefetchHint with a background prefetch thread that maps and
-  /// touches hinted shards ahead of the scan cursor. Purely a timing
-  /// knob: results are bitwise identical either way (hints never change
-  /// the bytes a Pin returns), which tests/shard_store_test.cc asserts.
+  /// Ignored; kept only because perfbench sets it.
   bool enable_prefetch = true;
-  /// Cap on outstanding prefetch work (shards queued plus shards mapped
-  /// by the prefetcher and not yet pinned), bounding how far hints can
-  /// run ahead of the scan — and therefore how much the prefetcher can
-  /// inflate residency beyond the LRU window. >= 1.
-  int64_t max_prefetch_shards = 2;
-  /// Transient shard-map failures (a demand or prefetch mmap/open that
-  /// fails) are retried with capped exponential backoff under this
-  /// policy before the dataset degrades (see ShardedDataset::status()).
+  /// Transient shard-map failures (a demand mmap/open that fails) are
+  /// retried with capped exponential backoff under this policy before
+  /// the dataset degrades (see ShardedDataset::status()).
   RetryPolicy io_retry;
 };
 
-/// DatasetSource over a sharded on-disk dataset. Thread-safe: Pin, pin
-/// release, and PrefetchHint may be called concurrently from pool
-/// workers while the background prefetcher runs. Movable, not copyable.
+/// DatasetSource over a sharded on-disk dataset. Thread-safe: Pin and
+/// pin release may be called concurrently from pool workers. Movable,
+/// not copyable.
 ///
-/// Prefetch pipeline: PrefetchHint(begin, end) enqueues the not-yet-
-/// resident shards covering the range (up to max_prefetch_shards
-/// outstanding) to a background thread that maps each one — publishing
-/// the mapping immediately, so a scan that catches up never waits on
-/// the warming — and then faults its pages in (madvise(WILLNEED) plus
-/// a page-touch pass), so by the time the scan cursor arrives the
-/// shard is mapped and its pages are warm — the demand Pin neither
-/// issues the map syscall nor minor-faults its way through the scan.
-/// A prefetched shard is eviction-protected until its first pin
-/// (double-buffered against the LRU window: the window prefers every
-/// unprotected candidate first and only reclaims a never-pinned
-/// prefetched shard as a last resort, counting it as wasted), so a hint
-/// can never evict rows ahead of their own scan. A Pin that demand-maps
-/// a shard whose hint is still queued cancels the hint, so the
-/// prefetcher never maps a shard the scan has already passed: through a
-/// window with room for one prefetched shard, a single scan keeps at
-/// most max_resident_bytes plus its one pinned shard mapped. Hints are
-/// advisory and asynchronous; they change timing only, never bytes, so
-/// sharded runs stay bitwise identical to in-memory runs with prefetch
-/// on or off.
+/// Residency window: a shard becomes resident only through a demand map
+/// by the Pin that needs it (a Pin that finds the shard being mapped by
+/// another thread waits for that map). Each map is published, and the
+/// LRU window evicts unpinned shards back under max_resident_bytes, in
+/// one critical section; every unpin evicts the same way. So with P
+/// threads each holding at most one pin, residency never exceeds
+/// max(max_resident_bytes, (P - 1) * largest shard) + largest shard,
+/// and it is back under max_resident_bytes once every pin is released
+/// (docs/ARCHITECTURE.md "Residency window" derives the bound;
+/// ShardWindowTest asserts it).
 class ShardedDataset final : public DatasetSource {
  public:
   /// Residency/IO telemetry. Monotonic counters except resident_bytes
@@ -198,23 +180,18 @@ class ShardedDataset final : public DatasetSource {
   /// cross-field invariants may be momentarily off by one in-flight
   /// update.
   struct IoStats {
-    int64_t maps = 0;             ///< shard map calls (demand + prefetch)
+    int64_t maps = 0;             ///< shard maps published
     int64_t evictions = 0;        ///< shards unmapped by the LRU window
     int64_t resident_bytes = 0;   ///< bytes currently mapped
     int64_t peak_resident_bytes = 0;
-    int64_t prefetch_issued = 0;     ///< shards accepted into the queue
-    int64_t prefetch_completed = 0;  ///< shards mapped by the prefetcher
-                                     ///< (a hint cancelled by a demand
-                                     ///< map never completes)
-    int64_t prefetch_hits = 0;    ///< pins that found their shard already
-                                  ///< prefetched (no demand map, no wait)
-    int64_t prefetch_wasted = 0;  ///< prefetched shards evicted before
-                                  ///< any pin used them
+    /// Always 0; kept only because perfbench reports them.
+    int64_t prefetch_completed = 0;
+    int64_t prefetch_hits = 0;
+    int64_t prefetch_wasted = 0;
     int64_t stall_nanos = 0;      ///< time scan threads spent blocked in
                                   ///< Pin on shard I/O (demand maps and
                                   ///< waits on in-flight maps)
     int64_t map_retries = 0;      ///< transient map failures retried
-                                  ///< (demand + prefetch)
     int64_t map_failures = 0;     ///< shards whose map retry budget was
                                   ///< exhausted (the scan degraded; see
                                   ///< status())
@@ -247,8 +224,6 @@ class ShardedDataset final : public DatasetSource {
   /// Computed on first call (one streamed pass) and cached.
   double TotalWeight() const override;
   PinnedBlock Pin(int64_t begin, int64_t end) const override;
-  /// See the class comment; no-op when options.enable_prefetch is false.
-  void PrefetchHint(int64_t begin, int64_t end) const override;
   /// The shard table as residency ranges (drives MakeScanSchedule).
   std::vector<std::pair<int64_t, int64_t>> ResidencyRanges() const override;
   /// floor(max_resident_bytes / largest shard bytes), at least 1; 0 when

@@ -244,7 +244,7 @@ void NearestCenterSearch::FindAll(const DatasetSource& data,
                         idx);
     });
   };
-  // Shard-aware submission + next-shard hints over out-of-core sources;
+  // Shard-aware submission over out-of-core sources;
   // per-row writes are independent, so the schedule only changes timing
   // (see ScanSchedule). Passing the schedule also keeps the sequential
   // path on the fixed deterministic chunk grid (as in the Matrix

@@ -66,25 +66,16 @@ class Job {
   /// shuffle, exactly like a Hadoop combiner.
   using CombineFn = std::function<V(const V&, const V&)>;
   using ReduceFn = std::function<Out(const K& key, std::vector<V>& values)>;
-  /// Advisory hook run at the start of each map task (before the map
-  /// function), e.g. to prefetch the input of an upcoming task. Must not
-  /// touch emitters or shared mutable state: it runs concurrently across
-  /// tasks and must not be able to affect any task's output.
-  using PrologueFn = std::function<void(int64_t partition_id)>;
 
   Job& WithMap(MapFn map) {
     map_ = std::move(map);
-    return *this;
-  }
-  Job& WithPrologue(PrologueFn prologue) {
-    prologue_ = std::move(prologue);
     return *this;
   }
   /// Permutes the order map tasks are SUBMITTED to the pool (must be a
   /// permutation of [0, partitions.size()) when non-empty). Execution
   /// order never affects results — per-task emissions are still folded
   /// in task-index order — so this is a pure scheduling lever: a
-  /// prefetch-aware order (mapreduce::MakeMapTaskSchedule) starts a
+  /// shard-aware order (mapreduce::MakeMapTaskSchedule) starts a
   /// concurrent wave on distinct shards of an out-of-core source instead
   /// of piling it onto neighboring partitions that share shards.
   Job& WithSubmissionOrder(std::vector<int64_t> order) {
@@ -178,7 +169,6 @@ class Job {
         Status status = fault::Check("mr.task");
         if (status.ok()) {
           try {
-            if (prologue_ != nullptr) prologue_(t);
             map_(t, partitions[static_cast<size_t>(t)], &scratch);
           } catch (const std::exception& e) {
             status = Status::Unknown(std::string("map task threw: ") +
@@ -309,7 +299,6 @@ class Job {
 
  private:
   MapFn map_;
-  PrologueFn prologue_;
   CombineFn combine_;
   ReduceFn reduce_;
   std::vector<int64_t> submission_order_;  // empty = ascending

@@ -116,27 +116,22 @@ inline std::vector<DataPartition> MakeAlignedPartitions(
   return parts;
 }
 
-/// Prefetch-aware map-task schedule for a job over `parts`: a submission
-/// permutation plus a per-task hint range (see Job::WithSubmissionOrder
-/// and the prologue hook). Tasks are grouped into min(workers, shards)
-/// contiguous shard spans — exactly MakeScanSchedule's policy for
-/// chunked passes — and submission round-robins across the groups, so a
-/// pool's wave scans distinct shards even when the partition count does
-/// not match the shard count (unscheduled FIFO piles the first wave onto
-/// the first few shards when partitions subdivide them). Each task's
-/// hint is the row range of the next task in its group — the range that
-/// worker streams next — issued by the task prologue while the current
-/// task computes.
+/// Shard-aware map-task schedule for a job over `parts`: a submission
+/// permutation (see Job::WithSubmissionOrder). Tasks are grouped into
+/// min(workers, shards) contiguous shard spans — MakeScanSchedule's
+/// policy for chunked passes — and submission round-robins across the
+/// groups, so a pool's wave scans distinct shards even when the
+/// partition count does not match the shard count (unscheduled FIFO
+/// piles the first wave onto the first few shards when partitions
+/// subdivide them).
 ///
-/// The schedule changes only WHEN tasks run and what is warmed ahead;
-/// emissions still fold in task-index order inside Job::Run, so job
-/// outputs are bitwise identical with and without it. Returns empty
-/// order/hints when there is nothing to exploit (fewer than two
-/// residency units, trivial task counts, or no pool).
+/// The schedule changes only WHEN tasks run; emissions still fold in
+/// task-index order inside Job::Run, so job outputs are bitwise
+/// identical with and without it. Returns an empty order when there is
+/// nothing to exploit (fewer than two residency units, trivial task
+/// counts, or no pool).
 struct MapTaskSchedule {
   std::vector<int64_t> order;  ///< submission order; empty = ascending
-  /// Per-task advisory prefetch range (begin >= end means "no hint").
-  std::vector<std::pair<int64_t, int64_t>> hints;
 };
 
 inline MapTaskSchedule MakeMapTaskSchedule(
@@ -173,23 +168,14 @@ inline MapTaskSchedule MakeMapTaskSchedule(
     sequences[static_cast<size_t>(g)].push_back(t);
   }
 
-  // Round-robin across groups; a task's hint is the task after it in
-  // its own group (what that worker streams next).
+  // Round-robin submission across groups.
   schedule.order.reserve(static_cast<size_t>(num_tasks));
-  schedule.hints.assign(static_cast<size_t>(num_tasks), {0, 0});
   std::vector<size_t> cursor(static_cast<size_t>(groups), 0);
-  for (int64_t taken = 0; taken < num_tasks;) {
+  while (static_cast<int64_t>(schedule.order.size()) < num_tasks) {
     for (int64_t g = 0; g < groups; ++g) {
       const auto& seq = sequences[static_cast<size_t>(g)];
       size_t& c = cursor[static_cast<size_t>(g)];
-      if (c >= seq.size()) continue;
-      const int64_t t = seq[c++];
-      ++taken;
-      schedule.order.push_back(t);
-      if (c < seq.size()) {
-        const DataPartition& next = parts[static_cast<size_t>(seq[c])];
-        schedule.hints[static_cast<size_t>(t)] = {next.begin, next.end};
-      }
+      if (c < seq.size()) schedule.order.push_back(seq[c++]);
     }
   }
   return schedule;

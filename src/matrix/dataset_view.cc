@@ -20,25 +20,6 @@ template <typename PerRun>
 void VisitRuns(const DatasetSource& source,
                const std::vector<int64_t>& indices, PerRun&& per_run) {
   const auto count = static_cast<int64_t>(indices.size());
-  // Residency-unit boundaries, for hinting ahead across shard
-  // transitions. Empty (in-memory sources) disables hinting entirely —
-  // no unit lookups, no hint calls on the hot gather path.
-  const std::vector<std::pair<int64_t, int64_t>> units =
-      count > 1 ? source.ResidencyRanges()
-                : std::vector<std::pair<int64_t, int64_t>>{};
-  auto unit_of = [&](int64_t row) -> size_t {
-    size_t lo = 0, hi = units.size() - 1;
-    while (lo < hi) {
-      const size_t mid = (lo + hi + 1) / 2;
-      if (units[mid].first <= row) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
-    }
-    return lo;
-  };
-
   int64_t j = 0;
   while (j < count) {
     const int64_t first = indices[static_cast<size_t>(j)];
@@ -50,20 +31,6 @@ void VisitRuns(const DatasetSource& source,
       ++run;
     }
     KMEANSLL_CHECK(first + run <= source.n());
-    // Warm the next shard the gather will need while this run copies —
-    // but only at shard transitions: a random-sample gather decomposes
-    // into many single-row runs, and hinting each one would take the
-    // store's mutex per sampled row for no overlap (the accelerated
-    // Lloyd variants' rescan lists and minibatch samples are exactly
-    // that shape). One advisory hint per shard the tail visits is
-    // enough; hints never change the gathered bytes.
-    if (!units.empty() && j + run < count) {
-      const size_t cur_unit = unit_of(first + run - 1);
-      const int64_t next = indices[static_cast<size_t>(j + run)];
-      if (next >= 0 && next < source.n() && unit_of(next) != cur_unit) {
-        source.PrefetchHint(next, units[unit_of(next)].second);
-      }
-    }
     // A run may still span shard boundaries; ForEachBlock splits it.
     ForEachBlock(source, first, first + run, [&](const DatasetView& v) {
       per_run(j + (v.first_row() - first), v);
@@ -77,13 +44,25 @@ void VisitRuns(const DatasetSource& source,
 ScanSchedule MakeScanSchedule(const DatasetSource& source, int64_t total,
                               ThreadPool* pool) {
   ScanSchedule schedule;
-  if (total <= 0) return schedule;
+  if (total <= 0 || pool == nullptr) return schedule;
   const std::vector<std::pair<int64_t, int64_t>> shards =
       source.ResidencyRanges();
-  if (shards.size() < 2) return schedule;
   const std::vector<IndexRange> chunks =
       MakeChunks(total, kDeterministicChunks);
-  if (chunks.size() < 2) return schedule;
+
+  // Split the shard list into `groups` contiguous spans — one per worker
+  // that can usefully run concurrently — and give each group its chunks
+  // in ascending order. Workers then stream disjoint shard sequences.
+  // The residency window caps the fan-out: streaming more concurrent
+  // sequences than it holds shards would evict mappings out from under
+  // the other workers.
+  size_t groups = std::min(static_cast<size_t>(pool->num_threads()),
+                           shards.size());
+  const int64_t capacity = source.ResidentUnitCapacity();
+  if (capacity > 0) {
+    groups = std::min(groups, static_cast<size_t>(capacity));
+  }
+  if (groups < 2 || chunks.size() < 2) return schedule;
 
   // Shard owning a row (shards are ascending and contiguous from row 0).
   auto shard_of = [&](int64_t row) {
@@ -98,66 +77,22 @@ ScanSchedule MakeScanSchedule(const DatasetSource& source, int64_t total,
     }
     return lo;
   };
-
-  // Split the shard list into `groups` contiguous spans — one per worker
-  // that can usefully run concurrently — and give each group its chunks
-  // in ascending order. Workers then stream disjoint shard sequences.
-  // The residency window caps the fan-out: streaming more concurrent
-  // sequences than (capacity - 1) shards — one slot is left for the
-  // prefetcher's double buffer — would evict mappings out from under
-  // the other workers.
-  size_t workers =
-      pool == nullptr ? 1 : static_cast<size_t>(pool->num_threads());
-  const int64_t capacity = source.ResidentUnitCapacity();
-  if (capacity > 0) {
-    workers = std::min(
-        workers, static_cast<size_t>(std::max<int64_t>(capacity - 1, 1)));
-  }
-  const size_t groups = std::min(workers, shards.size());
-  auto group_of_shard = [&](size_t s) {
-    return s * groups / shards.size();
-  };
-  // Last shard of the group that shard `s` belongs to.
-  auto group_end_shard = [&](size_t s) {
-    const size_t g = group_of_shard(s);
-    size_t e = s;
-    while (e + 1 < shards.size() && group_of_shard(e + 1) == g) ++e;
-    return e;
-  };
-
   std::vector<std::vector<size_t>> sequences(groups);
   for (size_t c = 0; c < chunks.size(); ++c) {
-    sequences[group_of_shard(shard_of(chunks[c].begin))].push_back(c);
+    sequences[shard_of(chunks[c].begin) * groups / shards.size()]
+        .push_back(c);
   }
 
-  // Round-robin submission across groups; per-position hint = the full
-  // row range of the group's next shard (issued while the current shard
-  // of that group computes; the source deduplicates repeats).
+  // Round-robin submission across groups.
   schedule.order.reserve(chunks.size());
-  schedule.hints.reserve(chunks.size());
   std::vector<size_t> cursor(groups, 0);
-  bool any_hint = false;
-  for (size_t taken = 0; taken < chunks.size();) {
+  while (schedule.order.size() < chunks.size()) {
     for (size_t g = 0; g < groups; ++g) {
-      if (cursor[g] >= sequences[g].size()) continue;
-      const size_t c = sequences[g][cursor[g]++];
-      ++taken;
-      schedule.order.push_back(c);
-      const size_t s = shard_of(chunks[c].end - 1);
-      IndexRange hint{0, 0};
-      if (s < group_end_shard(s)) {
-        hint.begin = shards[s + 1].first;
-        hint.end = std::min(shards[s + 1].second, total);
+      if (cursor[g] < sequences[g].size()) {
+        schedule.order.push_back(sequences[g][cursor[g]++]);
       }
-      if (hint.size() > 0) any_hint = true;
-      schedule.hints.push_back(hint);
     }
   }
-  if (groups == 1) schedule.order.clear();  // ascending; keep hints only
-  if (!any_hint && schedule.order.empty()) return ScanSchedule{};
-  schedule.prefetch = [&source](IndexRange r) {
-    source.PrefetchHint(r.begin, r.end);
-  };
   return schedule;
 }
 

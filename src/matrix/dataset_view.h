@@ -158,13 +158,7 @@ class DatasetSource {
   /// `begin`. Thread-safe.
   virtual PinnedBlock Pin(int64_t begin, int64_t end) const = 0;
 
-  /// Advises the source that global rows [begin, end) will be scanned
-  /// soon, so it may start making them resident (mapping + touching the
-  /// covering shards) in the background. Purely advisory: it never
-  /// blocks on I/O, never pins anything, and never changes the bytes any
-  /// Pin returns — so issuing (or dropping) hints cannot change results.
-  /// Out-of-range or empty ranges are ignored. Thread-safe. Default:
-  /// no-op (uniformly resident sources have nothing to warm).
+  /// No caller; kept only because perfbench's CountingSource overrides it.
   virtual void PrefetchHint(int64_t begin, int64_t end) const {
     (void)begin;
     (void)end;
@@ -227,10 +221,6 @@ class InMemorySource final : public DatasetSource {
 
 /// Visits [begin, end) as a sequence of pinned contiguous views in
 /// ascending row order (each pin is released before the next is taken).
-/// After each pin and before the visitor runs, the remaining tail of the
-/// range is hinted to the source, so an out-of-core source can map and
-/// touch the next shard while `fn` computes over the current one (a
-/// no-op for in-memory sources and for ranges inside one shard).
 template <typename Fn>
 void ForEachBlock(const DatasetSource& source, int64_t begin, int64_t end,
                   Fn&& fn) {
@@ -240,7 +230,6 @@ void ForEachBlock(const DatasetSource& source, int64_t begin, int64_t end,
     const DatasetView& view = block.view();
     KMEANSLL_CHECK(view.first_row() == row && view.rows() > 0);
     row = view.end_row();
-    if (row < end) source.PrefetchHint(row, end);
     fn(view);
   }
 }
@@ -248,14 +237,12 @@ void ForEachBlock(const DatasetSource& source, int64_t begin, int64_t end,
 /// Builds the shard-aware execution schedule for one chunked pass over
 /// [0, total) rows of `source` (see ScanSchedule in
 /// parallel/parallel_for.h). The deterministic chunk grid is split into
-/// min(workers, shards) groups of contiguous shard spans and submission
-/// round-robins across the groups, so the pool's workers advance through
-/// disjoint shard sequences instead of pinning the same shard in lock
-/// step; each position also carries a hint for its group's next shard so
-/// the source warms it while the current shard computes. Returns an
-/// empty schedule (callers may pass it; it is ignored) when the source
-/// has fewer than two residency units or the pass is trivially small.
-/// The schedule borrows `source` and must not outlive it.
+/// min(workers, shards, ResidentUnitCapacity()) groups of contiguous
+/// shard spans and submission round-robins across the groups, so the
+/// pool's workers advance through disjoint shard sequences instead of
+/// pinning the same shard in lock step. Returns an empty schedule
+/// (ascending submission; callers may pass it) when there is no pool,
+/// fewer than two groups, or a trivially small pass.
 ScanSchedule MakeScanSchedule(const DatasetSource& source, int64_t total,
                               ThreadPool* pool);
 

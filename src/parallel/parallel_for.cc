@@ -24,21 +24,14 @@ void ParallelFor(ThreadPool* pool, int64_t total,
                  const std::function<void(IndexRange)>& body,
                  const ScanSchedule* schedule) {
   if (total <= 0) return;
-  const bool scheduled = schedule != nullptr && !schedule->empty();
   if (pool == nullptr && schedule == nullptr) {
     body(IndexRange{0, total});
     return;
   }
   std::vector<IndexRange> chunks = MakeChunks(total, kDeterministicChunks);
-  const bool hinted = scheduled && schedule->prefetch != nullptr &&
-                      schedule->hints.size() == chunks.size();
+  const bool reordered = schedule != nullptr && !schedule->order.empty();
   auto run_position = [&](size_t p) {
-    if (hinted && schedule->hints[p].size() > 0) {
-      schedule->prefetch(schedule->hints[p]);
-    }
-    const size_t c =
-        scheduled && !schedule->order.empty() ? schedule->order[p] : p;
-    body(chunks[c]);
+    body(chunks[reordered ? schedule->order[p] : p]);
   };
   if (pool == nullptr) {
     for (size_t p = 0; p < chunks.size(); ++p) run_position(p);

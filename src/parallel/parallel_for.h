@@ -35,38 +35,25 @@ std::vector<IndexRange> MakeChunks(int64_t total, int64_t max_chunks);
 inline constexpr int64_t kDeterministicChunks = 64;
 
 /// Execution schedule for a chunked pass over a storage-backed range
-/// (built by MakeScanSchedule in matrix/dataset_view.h). The schedule
-/// changes WHEN chunks run, never what they compute or how partials fold:
-///
-///  - `order` permutes chunk *submission* so concurrently running workers
-///    scan distinct shards of an out-of-core source instead of piling
-///    onto one shard's pin. Reductions still fold per-chunk partials in
-///    ascending chunk-index order, so results are bitwise identical with
-///    or without a schedule, at any thread count.
-///  - `hints` + `prefetch`: when the chunk at submission position p
-///    starts, prefetch(hints[p]) is issued first (an advisory row-range
-///    warm-up ahead of that worker's scan cursor — see
-///    DatasetSource::PrefetchHint). Hints are advisory and asynchronous;
-///    they touch no consumer-visible state.
+/// (built by MakeScanSchedule in matrix/dataset_view.h). `order` permutes
+/// chunk *submission* so concurrently running workers scan distinct
+/// shards of an out-of-core source instead of piling onto one shard's
+/// pin. It changes WHEN chunks run, never what they compute: reductions
+/// still fold per-chunk partials in ascending chunk-index order, so
+/// results are bitwise identical with or without a schedule, at any
+/// thread count.
 struct ScanSchedule {
-  std::vector<size_t> order;       ///< submission order; empty = ascending
-  std::vector<IndexRange> hints;   ///< per-position prefetch ranges
-                                   ///< (empty, or one per chunk; a hint
-                                   ///< with begin >= end is "no hint")
-  std::function<void(IndexRange)> prefetch;  ///< null = hints ignored
-
-  bool empty() const { return order.empty() && prefetch == nullptr; }
+  std::vector<size_t> order;  ///< submission order; empty = ascending
 };
 
 /// Runs body(range) for each chunk of [0, total) on the pool. Blocks until
 /// all chunks complete. `pool` may be null: runs inline (sequentially).
-/// `schedule` (may be null) reorders chunk submission and issues prefetch
-/// hints; it never changes the chunk grid. Passing a schedule — even an
-/// empty one — also opts the sequential path into the fixed chunk grid
-/// (chunk-by-chunk, ascending, hints ahead of the inline scan), so
-/// consumers whose per-row values could depend on tile origins see the
-/// pooled path's grid at every pool size; with no schedule the
-/// sequential path runs the whole range as one body call, as before.
+/// `schedule` (may be null) reorders chunk submission; it never changes
+/// the chunk grid. Passing a schedule — even an empty one — also opts
+/// the sequential path into the fixed chunk grid (chunk-by-chunk,
+/// ascending), so consumers whose per-row values could depend on tile
+/// origins see the pooled path's grid at every pool size; with no
+/// schedule the sequential path runs the whole range as one body call.
 void ParallelFor(ThreadPool* pool, int64_t total,
                  const std::function<void(IndexRange)>& body,
                  const ScanSchedule* schedule = nullptr);
@@ -74,7 +61,7 @@ void ParallelFor(ThreadPool* pool, int64_t total,
 /// Map-reduce over chunks: `map` produces a partial P per chunk, and the
 /// partials are folded left-to-right in chunk order by `combine` into
 /// `init`. Deterministic for any thread count; `schedule` (may be null)
-/// affects submission order and prefetch only, never the fold order.
+/// affects submission order only, never the fold order.
 template <typename P>
 P ParallelReduce(ThreadPool* pool, int64_t total, P init,
                  const std::function<P(IndexRange)>& map,
@@ -82,17 +69,9 @@ P ParallelReduce(ThreadPool* pool, int64_t total, P init,
                  const ScanSchedule* schedule = nullptr) {
   std::vector<IndexRange> chunks = MakeChunks(total, kDeterministicChunks);
   std::vector<P> partials(chunks.size());
-  const bool scheduled = schedule != nullptr && !schedule->empty();
-  const bool hinted = scheduled && schedule->prefetch != nullptr &&
-                      schedule->hints.size() == chunks.size();
-  auto chunk_at = [&](size_t p) {
-    return scheduled && !schedule->order.empty() ? schedule->order[p] : p;
-  };
+  const bool reordered = schedule != nullptr && !schedule->order.empty();
   auto run_position = [&](size_t p) {
-    if (hinted && schedule->hints[p].size() > 0) {
-      schedule->prefetch(schedule->hints[p]);
-    }
-    const size_t c = chunk_at(p);
+    const size_t c = reordered ? schedule->order[p] : p;
     partials[c] = map(chunks[c]);
   };
   if (pool == nullptr) {

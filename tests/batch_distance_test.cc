@@ -402,7 +402,9 @@ TEST(BatchEngineTest, AdversarialMergesMatchScalarChain) {
       for (int64_t i = 0; i < kRows; ++i) {
         const double v = zero_d2[static_cast<size_t>(i)];
         EXPECT_FALSE(std::signbit(v)) << "row " << i;
-        if (!expanded) EXPECT_TRUE(SameBits(v, 0.0)) << "row " << i;
+        if (!expanded) {
+          EXPECT_TRUE(SameBits(v, 0.0)) << "row " << i;
+        }
         EXPECT_EQ(zero_index[static_cast<size_t>(i)], i % centers.rows());
       }
     }

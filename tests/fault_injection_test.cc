@@ -119,9 +119,9 @@ void ExpectLloydBitwise(const LloydResult& got, const LloydResult& expected,
 }
 
 /// Writes `data` as `shards` shard files and opens it with a resident
-/// window of ~2 shards, no prefetch (fault ordinals stay deterministic),
-/// zero retry backoff (tests must not sleep), and a deep attempt budget
-/// so a bounded burst of injected faults can never exhaust it.
+/// window of ~2 shards, zero retry backoff (tests must not sleep), and a
+/// deep attempt budget so a bounded burst of injected faults can never
+/// exhaust it.
 ShardedDataset OpenSharded(const Dataset& data, const std::string& name,
                            int64_t shards) {
   const std::string manifest = TempPath(name);
@@ -131,7 +131,6 @@ ShardedDataset OpenSharded(const Dataset& data, const std::string& name,
   ShardedDatasetOptions options;
   const int64_t rows_per_shard = (data.n() + shards - 1) / shards;
   options.max_resident_bytes = 2 * (32 + rows_per_shard * data.dim() * 8);
-  options.enable_prefetch = false;
   options.io_retry.max_attempts = 8;
   options.io_retry.base_backoff_us = 0;
   auto opened = ShardedDataset::Open(manifest, options);
@@ -290,39 +289,6 @@ TEST(FaultMatrixTest, LloydVariantsBitwiseUnderTransientShardFaults) {
   }
 }
 
-TEST(FaultMatrixTest, TransientPrefetchFaultsNeverKillTheScan) {
-  FaultGuard guard;
-  Dataset data = MakeData(240, 6);
-  Matrix centers = MakeCenters(5, 6);
-  const double expected = ComputeCost(data, centers);
-
-  // Prefetch ON: the background thread hits "shard.prefetch"; a failed
-  // prefetch must degrade to a demand map, never change bytes or kill
-  // the prefetch thread.
-  const std::string manifest = TempPath("prefetch.kml");
-  auto written =
-      WriteShards(data, manifest, ShardWriteOptions{.num_shards = 6});
-  ASSERT_TRUE(written.ok());
-  ShardedDatasetOptions options;
-  options.max_resident_bytes = 2 * (32 + 40 * data.dim() * 8);
-  options.enable_prefetch = true;
-  options.io_retry.max_attempts = 8;
-  options.io_retry.base_backoff_us = 0;
-  auto opened = ShardedDataset::Open(manifest, options);
-  ASSERT_TRUE(opened.ok());
-  ShardedDataset sharded = std::move(opened).ValueOrDie();
-
-  FaultInjector::Global().Seed(0xD15EA5E);
-  FaultInjector::Global().Arm(
-      "shard.prefetch", FaultRule{.kind = FaultKind::kMapFail,
-                                  .probability = 0.25,
-                                  .max_triggers = 6});
-  for (int pass = 0; pass < 4; ++pass) {
-    EXPECT_EQ(ComputeCost(sharded, centers), expected);
-  }
-  EXPECT_TRUE(sharded.status().ok());
-}
-
 // --- Degraded scans fail the driver, not the process ---------------------
 
 TEST(FaultMatrixTest, ExhaustedShardRetriesDegradeToCleanStatus) {
@@ -335,7 +301,6 @@ TEST(FaultMatrixTest, ExhaustedShardRetriesDegradeToCleanStatus) {
       WriteShards(data, manifest, ShardWriteOptions{.num_shards = 6});
   ASSERT_TRUE(written.ok());
   ShardedDatasetOptions options;
-  options.enable_prefetch = false;
   options.io_retry.max_attempts = 2;
   options.io_retry.base_backoff_us = 0;
   auto opened = ShardedDataset::Open(manifest, options);
@@ -580,7 +545,9 @@ TEST(CrashConsistencyTest, WriteRetriesSurfaceInTelemetry) {
   std::remove(config.model_output_path.c_str());
 
   // No faults → zero retries: the counters never drift on their own.
-  auto clean = RunLloyd(data, initial, LloydOptions{.max_iterations = 3});
+  LloydOptions clean_options;
+  clean_options.max_iterations = 3;
+  auto clean = RunLloyd(data, initial, clean_options);
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(clean->checkpoint_write_retries, 0);
 }

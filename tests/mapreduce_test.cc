@@ -205,7 +205,9 @@ TEST(PartitionTest, MakePartitionsCoversDataset) {
   for (size_t p = 0; p < parts.size(); ++p) {
     EXPECT_EQ(parts[p].source, &source);
     covered += parts[p].size();
-    if (p > 0) EXPECT_EQ(parts[p].begin, parts[p - 1].end);
+    if (p > 0) {
+      EXPECT_EQ(parts[p].begin, parts[p - 1].end);
+    }
   }
   EXPECT_EQ(covered, 103);
 }
@@ -303,7 +305,7 @@ TEST(PartitionTest, CountAlignedFallsBackWithoutResidencyRanges) {
   }
 }
 
-TEST(PartitionTest, MapTaskScheduleIsAPermutationWithGroupLocalHints) {
+TEST(PartitionTest, MapTaskScheduleIsAPermutationAcrossShardSpans) {
   Dataset data(Matrix(160, 2));
   const std::vector<std::pair<int64_t, int64_t>> shards = {
       {0, 40}, {40, 80}, {80, 120}, {120, 160}};
@@ -313,7 +315,6 @@ TEST(PartitionTest, MapTaskScheduleIsAPermutationWithGroupLocalHints) {
   auto parts = MakePartitions(source, 8);
   auto schedule = MakeMapTaskSchedule(source, parts, /*workers=*/2);
   ASSERT_EQ(schedule.order.size(), 8u);
-  ASSERT_EQ(schedule.hints.size(), 8u);
   std::vector<int64_t> sorted = schedule.order;
   std::sort(sorted.begin(), sorted.end());
   for (int64_t t = 0; t < 8; ++t) EXPECT_EQ(sorted[static_cast<size_t>(t)], t);
@@ -321,14 +322,6 @@ TEST(PartitionTest, MapTaskScheduleIsAPermutationWithGroupLocalHints) {
   // between the low-shard span and the high-shard span.
   EXPECT_LT(parts[static_cast<size_t>(schedule.order[0])].begin, 80);
   EXPECT_GE(parts[static_cast<size_t>(schedule.order[1])].begin, 80);
-  // Hints point at the same group's next task (ahead of this worker's
-  // cursor), and the last task of each group has none.
-  for (size_t p = 0; p + 2 < schedule.order.size(); p += 2) {
-    const auto t = static_cast<size_t>(schedule.order[p]);
-    const auto next = static_cast<size_t>(schedule.order[p + 2]);
-    EXPECT_EQ(schedule.hints[t].first, parts[next].begin);
-    EXPECT_EQ(schedule.hints[t].second, parts[next].end);
-  }
 }
 
 TEST(MapReduceTest, SubmissionOrderDoesNotChangeResults) {

@@ -66,7 +66,9 @@ TEST(MakeChunksTest, CoverageIsExactAndOrdered) {
   int64_t covered = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
     covered += chunks[c].size();
-    if (c > 0) EXPECT_EQ(chunks[c].begin, chunks[c - 1].end);
+    if (c > 0) {
+      EXPECT_EQ(chunks[c].begin, chunks[c - 1].end);
+    }
   }
   EXPECT_EQ(covered, 10);
 }

@@ -77,6 +77,14 @@ std::atomic<size_t> g_largest{0};
 }  // namespace
 
 #if defined(KMLL_FUZZ_TRACK_ALLOCATIONS)
+#if defined(__GNUC__) && !defined(__clang__)
+// gcc inlines these replacements into std::allocator and then reports
+// the free() in operator delete as mismatched with operator new
+// (-Wmismatched-new-delete), although each operator new below
+// malloc()s exactly what its operator delete free()s.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 // Every allocation path the loaders use: operator new (strings, vectors)
 // and aligned_alloc (Matrix storage, aligned operator new).
 extern "C" void* aligned_alloc(size_t alignment, size_t size) noexcept {
@@ -101,6 +109,9 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, size_t) noexcept { std::free(p); }
 void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif
 
 namespace kmeansll {

@@ -34,6 +34,15 @@ Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   return m;
 }
 
+/// Tenant name "m<i>", built by appending: gcc 12 at -O2 and above
+/// misreads `"m" + std::to_string(i)` as an overlapping memcpy and warns
+/// under -Wrestrict.
+std::string ModelName(uint64_t i) {
+  std::string name = "m";
+  name += std::to_string(i);
+  return name;
+}
+
 TEST(ServerRegistryTest, RegisterValidation) {
   ServerRegistry registry;
   const auto index = CenterIndex::Build(RandomMatrix(4, 3, 1));
@@ -216,7 +225,7 @@ TEST(ServerRegistryTest, ConcurrentTrafficAndRegistration) {
   ServerRegistry registry;
   for (int m = 0; m < 3; ++m) {
     ASSERT_TRUE(registry
-                    .Register("m" + std::to_string(m),
+                    .Register(ModelName(m),
                               CenterIndex::Build(RandomMatrix(
                                   k, d, 10 + static_cast<uint64_t>(m))))
                     .ok());
@@ -229,8 +238,7 @@ TEST(ServerRegistryTest, ConcurrentTrafficAndRegistration) {
     threads.emplace_back([&, t] {
       rng::Rng rng(static_cast<uint64_t>(t) + 100);
       for (int i = 0; i < kPerThread; ++i) {
-        const std::string name =
-            "m" + std::to_string(rng.NextBounded(3));
+        const std::string name = ModelName(rng.NextBounded(3));
         const auto row =
             static_cast<int64_t>(rng.NextBounded(points.rows()));
         const auto r = registry.Assign(name, points.Row(row));
@@ -242,7 +250,7 @@ TEST(ServerRegistryTest, ConcurrentTrafficAndRegistration) {
   threads.emplace_back([&] {
     for (int m = 3; m < 8; ++m) {
       ASSERT_TRUE(registry
-                      .Register("m" + std::to_string(m),
+                      .Register(ModelName(m),
                                 CenterIndex::Build(RandomMatrix(
                                     k, d, 10 + static_cast<uint64_t>(m))))
                       .ok());
@@ -255,7 +263,7 @@ TEST(ServerRegistryTest, ConcurrentTrafficAndRegistration) {
   EXPECT_EQ(registry.num_models(), 8);
   int64_t total_served = 0;
   for (int m = 0; m < 3; ++m) {
-    const auto s = registry.stats("m" + std::to_string(m)).ValueOrDie();
+    const auto s = registry.stats(ModelName(m)).ValueOrDie();
     EXPECT_EQ(s.batcher.shed, 0);
     EXPECT_EQ(s.batcher.served, s.latency.count);
     total_served += s.batcher.served;

@@ -836,7 +836,9 @@ TEST(RequestBatcherTest, IdleFlushShutdownStressAnswersEveryAdmission) {
     ASSERT_EQ(stats.served, served.load());
     ASSERT_EQ(stats.shed, shed.load());
     ASSERT_EQ(stats.served + stats.shed, stats.queries);
-    if (iter % 2 == 0) ASSERT_EQ(stats.shed, 0);
+    if (iter % 2 == 0) {
+      ASSERT_EQ(stats.shed, 0);
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -132,6 +133,16 @@ int64_t ShardBytes(int64_t rows, int64_t d, bool weighted, bool labeled) {
   if (weighted) bytes += rows * 8;
   if (labeled) bytes += rows * 4;
   return bytes + 4;
+}
+
+/// Up to k distinct rows of `data`, spread by a stride of 31.
+Matrix FirstKCenters(const Dataset& data, int64_t k) {
+  std::vector<int64_t> indices;
+  for (int64_t i = 0; i < k; ++i) indices.push_back(i * 31 % data.n());
+  std::sort(indices.begin(), indices.end());
+  indices.erase(std::unique(indices.begin(), indices.end()),
+                indices.end());
+  return data.points().GatherRows(indices);
 }
 
 // --- Format round-trip and failure paths -------------------------------
@@ -458,6 +469,75 @@ TEST(ShardWindowTest, UnboundedWindowMapsEachShardOnce) {
   EXPECT_EQ(stats.evictions, 0);
 }
 
+TEST(ShardWindowTest, PooledScansStayWithinResidencyBound) {
+  // Shards map only on demand: a map is published, and the window
+  // evicts back under budget, in one critical section, and every worker
+  // pins one block at a time. A map therefore lands beside at most P - 1
+  // pinned shards, so P workers keep at most
+  // max(window, (P - 1) * largest) + largest bytes mapped, and once every
+  // pin is released the window holds (docs/ARCHITECTURE.md, "Residency
+  // window"). n >= 64 * kPointTile, so the cost pass takes the
+  // shard-scheduled chunk path as the seeding and Lloyd passes do.
+  const int64_t n = 4099, d = 8, k = 6;
+  Dataset data = MakeData(n, d, /*weighted=*/true, /*labeled=*/false);
+  const std::string manifest = TempPath("pooled_window.kml");
+  auto written =
+      WriteShards(data, manifest, ShardWriteOptions{.num_shards = 8});
+  ASSERT_TRUE(written.ok());
+  int64_t largest = 0;
+  for (const auto& info : written->shards) {
+    largest = std::max(largest, ShardBytes(info.rows, d, true, false));
+  }
+
+  const Matrix centers = FirstKCenters(data, k);
+  KMeansLLOptions ll_options;
+  ll_options.rounds = 3;
+  LloydOptions lloyd_options;
+  lloyd_options.max_iterations = 3;
+  const double expected_cost = ComputeCost(data, centers);
+  auto expected_ll =
+      KMeansLLInit(data, k, rng::MakeRootRng(13), ll_options);
+  auto expected_lloyd = RunLloyd(data, centers, lloyd_options);
+  ASSERT_TRUE(expected_ll.ok());
+  ASSERT_TRUE(expected_lloyd.ok());
+
+  for (int64_t window_shards : {2, 3, 4}) {
+    for (int threads : {0, 1, 2, 4}) {
+      SCOPED_TRACE("window of " + std::to_string(window_shards) +
+                   " shards, pool " + std::to_string(threads));
+      ShardedDatasetOptions options;
+      options.max_resident_bytes = window_shards * largest;
+      auto sharded = ShardedDataset::Open(manifest, options);
+      ASSERT_TRUE(sharded.ok());
+      std::unique_ptr<ThreadPool> pool =
+          threads > 0 ? std::make_unique<ThreadPool>(threads) : nullptr;
+      const int64_t workers = std::max(threads, 1);
+      const int64_t bound =
+          std::max(options.max_resident_bytes, (workers - 1) * largest) +
+          largest;
+      const auto expect_window_held = [&](const char* pass) {
+        const ShardedDataset::IoStats stats = sharded->io_stats();
+        EXPECT_LE(stats.resident_bytes, options.max_resident_bytes)
+            << "after " << pass;
+        EXPECT_LE(stats.peak_resident_bytes, bound) << "after " << pass;
+      };
+
+      EXPECT_EQ(ComputeCost(*sharded, centers, pool.get()), expected_cost);
+      expect_window_held("ComputeCost");
+      auto ll = KMeansLLInit(*sharded, k, rng::MakeRootRng(13), ll_options,
+                             pool.get());
+      ASSERT_TRUE(ll.ok());
+      EXPECT_TRUE(ll->centers == expected_ll->centers);
+      expect_window_held("KMeansLLInit");
+      auto lloyd = RunLloyd(*sharded, centers, lloyd_options, pool.get());
+      ASSERT_TRUE(lloyd.ok());
+      EXPECT_TRUE(lloyd->centers == expected_lloyd->centers);
+      expect_window_held("RunLloyd");
+      EXPECT_GT(sharded->io_stats().evictions, 0);
+    }
+  }
+}
+
 // --- Bitwise equivalence: sharded vs in-memory -------------------------
 
 struct EquivalenceCase {
@@ -484,15 +564,6 @@ EquivalenceCase MakeEquivalence(int64_t d, const std::string& tag) {
   return c;
 }
 
-Matrix FirstKCenters(const Dataset& data, int64_t k) {
-  std::vector<int64_t> indices;
-  for (int64_t i = 0; i < k; ++i) indices.push_back(i * 31 % data.n());
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()),
-                indices.end());
-  return data.points().GatherRows(indices);
-}
-
 TEST(ShardEquivalenceTest, CostAndAssignmentBitwiseAtAnyPoolSize) {
   for (int64_t d : {8, 48}) {  // plain and expanded kernels
     EquivalenceCase c = MakeEquivalence(d, "cost_d" + std::to_string(d));
@@ -514,29 +585,32 @@ TEST(ShardEquivalenceTest, CostAndAssignmentBitwiseAtAnyPoolSize) {
 }
 
 TEST(ShardEquivalenceTest, SeedersBitwiseIdentical) {
-  EquivalenceCase c = MakeEquivalence(48, "seed");
-  KMeansLLOptions ll_options;
-  ll_options.rounds = 4;
-  std::unique_ptr<ThreadPool> pools[3] = {
-      nullptr, std::make_unique<ThreadPool>(1),
-      std::make_unique<ThreadPool>(4)};
-  auto expected_ll =
-      KMeansLLInit(c.data, 10, rng::MakeRootRng(7), ll_options);
-  ASSERT_TRUE(expected_ll.ok());
-  for (auto& pool : pools) {
-    auto actual = KMeansLLInit(*c.sharded, 10, rng::MakeRootRng(7),
-                               ll_options, pool.get());
-    ASSERT_TRUE(actual.ok());
-    EXPECT_TRUE(actual->centers == expected_ll->centers);
-    EXPECT_EQ(actual->telemetry.round_potentials,
-              expected_ll->telemetry.round_potentials);
-  }
+  for (int64_t d : {8, 48}) {  // plain and expanded kernels
+    EquivalenceCase c = MakeEquivalence(d, "seed_d" + std::to_string(d));
+    KMeansLLOptions ll_options;
+    ll_options.rounds = 4;
+    auto expected_ll =
+        KMeansLLInit(c.data, 10, rng::MakeRootRng(7), ll_options);
+    auto expected_pp = KMeansPPInit(c.data, 10, rng::MakeRootRng(9));
+    ASSERT_TRUE(expected_ll.ok());
+    ASSERT_TRUE(expected_pp.ok());
+    std::unique_ptr<ThreadPool> pools[3] = {
+        nullptr, std::make_unique<ThreadPool>(1),
+        std::make_unique<ThreadPool>(4)};
+    for (auto& pool : pools) {
+      auto actual = KMeansLLInit(*c.sharded, 10, rng::MakeRootRng(7),
+                                 ll_options, pool.get());
+      ASSERT_TRUE(actual.ok());
+      EXPECT_TRUE(actual->centers == expected_ll->centers);
+      EXPECT_EQ(actual->telemetry.round_potentials,
+                expected_ll->telemetry.round_potentials);
 
-  auto expected_pp = KMeansPPInit(c.data, 10, rng::MakeRootRng(9));
-  ASSERT_TRUE(expected_pp.ok());
-  auto actual_pp = KMeansPPInit(*c.sharded, 10, rng::MakeRootRng(9));
-  ASSERT_TRUE(actual_pp.ok());
-  EXPECT_TRUE(actual_pp->centers == expected_pp->centers);
+      auto actual_pp = KMeansPPInit(*c.sharded, 10, rng::MakeRootRng(9),
+                                    KMeansPPOptions{}, pool.get());
+      ASSERT_TRUE(actual_pp.ok());
+      EXPECT_TRUE(actual_pp->centers == expected_pp->centers);
+    }
+  }
 }
 
 TEST(ShardEquivalenceTest, AllLloydVariantsBitwiseIdentical) {
@@ -768,278 +842,6 @@ TEST(ShardWriterTest, RejectsShapeAndFlagMismatches) {
   EXPECT_EQ(reopened->TotalWeight(), 10.0);
 }
 
-// --- Prefetch pipeline -------------------------------------------------
-
-/// As MakeEquivalence, with explicit control over the prefetcher.
-EquivalenceCase MakePrefetchCase(int64_t d, bool enable_prefetch,
-                                 const std::string& tag) {
-  EquivalenceCase c;
-  c.data = MakeData(503, d, /*weighted=*/true, /*labeled=*/false);
-  std::string manifest = TempPath("prefetch_" + tag + ".kml");
-  auto written =
-      WriteShards(c.data, manifest, ShardWriteOptions{.num_shards = 5});
-  EXPECT_TRUE(written.ok());
-  ShardedDatasetOptions options;
-  options.max_resident_bytes =
-      3 * ShardBytes(101, d, /*weighted=*/true, /*labeled=*/false);
-  options.enable_prefetch = enable_prefetch;
-  auto sharded = ShardedDataset::Open(manifest, options);
-  EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
-  c.sharded =
-      std::make_unique<ShardedDataset>(std::move(sharded).ValueOrDie());
-  return c;
-}
-
-TEST(ShardPrefetchTest, PrefetchOnOffAndInMemoryBitwiseIdentical) {
-  // The headline determinism assertion for the pipeline: prefetch on,
-  // prefetch off, and the in-memory path produce identical centers,
-  // assignments, and cost histories for both seeders and all three
-  // Lloyd variants at pool sizes null/1/4 with window < data.
-  for (int64_t d : {8, 48}) {  // plain and expanded kernels
-    EquivalenceCase on =
-        MakePrefetchCase(d, /*enable_prefetch=*/true,
-                         "on_d" + std::to_string(d));
-    EquivalenceCase off =
-        MakePrefetchCase(d, /*enable_prefetch=*/false,
-                         "off_d" + std::to_string(d));
-    const Dataset& data = on.data;
-
-    KMeansLLOptions ll_options;
-    ll_options.rounds = 3;
-    LloydOptions lloyd_options;
-    lloyd_options.max_iterations = 5;
-    lloyd_options.track_history = true;
-    Matrix seed = FirstKCenters(data, 8);
-
-    auto ll_mem = KMeansLLInit(data, 8, rng::MakeRootRng(21), ll_options);
-    auto pp_mem = KMeansPPInit(data, 8, rng::MakeRootRng(22));
-    auto lloyd_mem = RunLloyd(data, seed, lloyd_options);
-    auto hamerly_mem = RunLloydHamerly(data, seed, lloyd_options);
-    auto elkan_mem = RunLloydElkan(data, seed, lloyd_options);
-    ASSERT_TRUE(ll_mem.ok() && pp_mem.ok() && lloyd_mem.ok() &&
-                hamerly_mem.ok() && elkan_mem.ok());
-
-    std::unique_ptr<ThreadPool> pools[3] = {
-        nullptr, std::make_unique<ThreadPool>(1),
-        std::make_unique<ThreadPool>(4)};
-    for (const EquivalenceCase* c : {&on, &off}) {
-      for (auto& pool : pools) {
-        auto ll = KMeansLLInit(*c->sharded, 8, rng::MakeRootRng(21),
-                               ll_options, pool.get());
-        ASSERT_TRUE(ll.ok());
-        EXPECT_TRUE(ll->centers == ll_mem->centers);
-        EXPECT_EQ(ll->telemetry.round_potentials,
-                  ll_mem->telemetry.round_potentials);
-
-        auto pp = KMeansPPInit(*c->sharded, 8, rng::MakeRootRng(22),
-                               KMeansPPOptions{}, pool.get());
-        ASSERT_TRUE(pp.ok());
-        EXPECT_TRUE(pp->centers == pp_mem->centers);
-
-        auto lloyd =
-            RunLloyd(*c->sharded, seed, lloyd_options, pool.get());
-        ASSERT_TRUE(lloyd.ok());
-        EXPECT_TRUE(lloyd->centers == lloyd_mem->centers);
-        EXPECT_EQ(lloyd->assignment.cluster,
-                  lloyd_mem->assignment.cluster);
-        EXPECT_EQ(lloyd->cost_history, lloyd_mem->cost_history);
-      }
-      // The accelerated variants run sequentially (no pool parameter).
-      auto hamerly = RunLloydHamerly(*c->sharded, seed, lloyd_options);
-      ASSERT_TRUE(hamerly.ok());
-      EXPECT_TRUE(hamerly->centers == hamerly_mem->centers);
-      EXPECT_EQ(hamerly->assignment.cluster,
-                hamerly_mem->assignment.cluster);
-      EXPECT_EQ(hamerly->cost_history, hamerly_mem->cost_history);
-
-      auto elkan = RunLloydElkan(*c->sharded, seed, lloyd_options);
-      ASSERT_TRUE(elkan.ok());
-      EXPECT_TRUE(elkan->centers == elkan_mem->centers);
-      EXPECT_EQ(elkan->assignment.cluster,
-                elkan_mem->assignment.cluster);
-      EXPECT_EQ(elkan->cost_history, elkan_mem->cost_history);
-    }
-
-    // The prefetch-off source must never have touched the pipeline.
-    auto off_stats = off.sharded->io_stats();
-    EXPECT_EQ(off_stats.prefetch_issued, 0);
-    EXPECT_EQ(off_stats.prefetch_completed, 0);
-  }
-}
-
-TEST(ShardPrefetchTest, HintWarmsShardAndPinCountsHit) {
-  const int64_t n = 300, d = 8;
-  Dataset data = MakeData(n, d, false, false);
-  std::string manifest = TempPath("hint.kml");
-  ASSERT_TRUE(
-      WriteShards(data, manifest, ShardWriteOptions{.num_shards = 6}).ok());
-  auto sharded = ShardedDataset::Open(manifest);  // unbounded window
-  ASSERT_TRUE(sharded.ok());
-
-  // Hint one specific shard and wait for the background map to land.
-  auto [begin, end] = sharded->ShardRows(3);
-  sharded->PrefetchHint(begin, end);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (sharded->io_stats().prefetch_completed < 1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  auto stats = sharded->io_stats();
-  ASSERT_EQ(stats.prefetch_completed, 1);
-  EXPECT_EQ(stats.prefetch_issued, 1);
-  EXPECT_EQ(stats.maps, 1);
-  EXPECT_EQ(stats.prefetch_hits, 0);  // no pin yet
-
-  // Re-hinting a resident shard is a no-op.
-  sharded->PrefetchHint(begin, end);
-  EXPECT_EQ(sharded->io_stats().prefetch_issued, 1);
-
-  // The first pin consumes the prefetch without a demand map.
-  {
-    PinnedBlock pin = sharded->Pin(begin, end);
-    EXPECT_EQ(pin.view().Point(0)[0], data.Point(begin)[0]);
-  }
-  stats = sharded->io_stats();
-  EXPECT_EQ(stats.prefetch_hits, 1);
-  EXPECT_EQ(stats.maps, 1);  // still only the prefetcher's map
-  EXPECT_EQ(stats.prefetch_wasted, 0);
-
-  // Out-of-range hints are clipped/ignored, not fatal.
-  sharded->PrefetchHint(-5, 2);
-  sharded->PrefetchHint(n - 1, n + 100);
-  sharded->PrefetchHint(50, 50);
-}
-
-TEST(ShardPrefetchTest, WindowCapsOutstandingPrefetch) {
-  // A window of two shards leaves room to double-buffer exactly one
-  // prefetched shard next to the pinned one; hinting the whole dataset
-  // must not enqueue more than that.
-  const int64_t n = 240, d = 6;
-  Dataset data = MakeData(n, d, false, false);
-  std::string manifest = TempPath("cap.kml");
-  ASSERT_TRUE(
-      WriteShards(data, manifest, ShardWriteOptions{.num_shards = 6}).ok());
-  ShardedDatasetOptions options;
-  options.max_resident_bytes = 2 * ShardBytes(40, d, false, false);
-  options.max_prefetch_shards = 4;  // count cap higher than the window cap
-  auto sharded = ShardedDataset::Open(manifest, options);
-  ASSERT_TRUE(sharded.ok());
-
-  sharded->PrefetchHint(0, n);
-  auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (sharded->io_stats().prefetch_completed <
-             sharded->io_stats().prefetch_issued &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  auto stats = sharded->io_stats();
-  EXPECT_EQ(stats.prefetch_issued, 1);
-  EXPECT_EQ(stats.prefetch_completed, 1);
-  EXPECT_LE(stats.resident_bytes, options.max_resident_bytes);
-
-  // A full streamed pass stays inside window + one pinned shard even
-  // with the pipeline hinting ahead of the cursor.
-  for (int pass = 0; pass < 2; ++pass) {
-    int64_t rows = 0;
-    ForEachBlock(*sharded, 0, n,
-                 [&](const DatasetView& v) { rows += v.rows(); });
-    EXPECT_EQ(rows, n);
-  }
-  stats = sharded->io_stats();
-  EXPECT_LE(stats.peak_resident_bytes,
-            options.max_resident_bytes + ShardBytes(40, d, false, false));
-  EXPECT_GT(stats.evictions, 0);
-}
-
-/// Polls `done` every millisecond for up to 30 s; returns its last value.
-template <typename Predicate>
-bool WaitUntil(Predicate done) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!done() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return done();
-}
-
-TEST(ShardPrefetchTest, DemandMapCancelsQueuedHint) {
-  // A hint still queued when the scan demand-maps its shard must die
-  // with that map. Left queued, it is popped after the scan has moved on
-  // and the window has evicted the shard, and the prefetcher maps the
-  // shard again behind the cursor, protected and unevictable while its
-  // pages are touched: the race behind WindowCapsOutstandingPrefetch's
-  // rare overshoots, made deterministic here.
-#if !KMEANSLL_FAULT_INJECTION
-  GTEST_SKIP() << "needs a kSlowIo rule on shard.prefetch to hold the "
-                  "prefetcher";
-#endif
-  const int64_t n = 240, d = 6, rows = 40;
-  const int64_t shard_bytes = ShardBytes(rows, d, false, false);
-  Dataset data = MakeData(n, d, false, false);
-  std::string manifest = TempPath("cancel.kml");
-  ASSERT_TRUE(
-      WriteShards(data, manifest, ShardWriteOptions{.num_shards = 6}).ok());
-  ShardedDatasetOptions options;
-  options.max_resident_bytes = 3 * shard_bytes;  // two hints + one pin
-  options.max_prefetch_shards = 4;
-  const auto pin = [&](const ShardedDataset& sharded, int64_t s) {
-    const int64_t begin = sharded.ShardRows(s).first;
-    PinnedBlock block = sharded.Pin(begin, begin + rows);
-    EXPECT_EQ(block.view().Point(0)[0], data.Point(begin)[0]);
-  };
-
-  // The hold on shard 0 must outlast the four pins of step 2; a machine
-  // too slow for that retries with a longer hold.
-  for (int64_t hold_us : {100'000, 1'000'000, 10'000'000}) {
-    FaultInjector::Global().Reset();
-    FaultInjector::Global().Arm(
-        "shard.prefetch", FaultRule{.kind = FaultKind::kSlowIo,
-                                    .nth_call = 1,
-                                    .max_triggers = 1,
-                                    .slow_io_us = hold_us});
-    auto sharded = ShardedDataset::Open(manifest, options);
-    ASSERT_TRUE(sharded.ok());
-
-    // 1. The prefetcher holds shard 0 while shard 1's hint waits behind
-    //    it in the queue.
-    sharded->PrefetchHint(0, 2 * rows);
-    ASSERT_EQ(sharded->io_stats().prefetch_issued, 2);
-
-    // 2. Demand-pin shard 1, then scan on until the window evicts it.
-    for (int64_t s : {1, 2, 3, 4}) pin(*sharded, s);
-    auto stats = sharded->io_stats();
-    if (stats.maps != 4) continue;  // shard 0 landed: the hold ran out
-    ASSERT_EQ(stats.evictions, 1);  // shard 1, least recently used
-
-    // 3. Release: shard 0's prefetch lands. Then hint shard 5 and wait
-    //    for a second completed prefetch. The queue is FIFO, so by then
-    //    a surviving shard-1 hint would have been mapped; with the hint
-    //    cancelled, the second completion is shard 5.
-    ASSERT_TRUE(
-        WaitUntil([&] { return sharded->io_stats().prefetch_completed >= 1; }));
-    sharded->PrefetchHint(5 * rows, n);
-    ASSERT_TRUE(
-        WaitUntil([&] { return sharded->io_stats().prefetch_completed >= 2; }));
-
-    // 4. Shard 1 was not mapped again: pinning it takes a demand map, and
-    //    residency never passed the window plus the pinned shard.
-    pin(*sharded, 1);
-    stats = sharded->io_stats();
-    EXPECT_EQ(stats.prefetch_issued, 3);     // shards 0, 1, 5
-    EXPECT_EQ(stats.prefetch_completed, 2);  // shards 0, 5
-    EXPECT_EQ(stats.prefetch_hits, 0);
-    EXPECT_EQ(stats.maps, 7);  // 1, 2, 3, 4 | 0, 5 prefetched | 1 again
-    EXPECT_LE(stats.peak_resident_bytes,
-              options.max_resident_bytes + shard_bytes);
-    FaultInjector::Global().Reset();
-    return;
-  }
-  FaultInjector::Global().Reset();
-  FAIL() << "every hold on shard 0 ran out before four tiny pins";
-}
-
 // --- IoStats: atomic, tear-free snapshots ------------------------------
 
 TEST(ShardStatsTest, ConcurrentSnapshotsNeverTearOrRegress) {
@@ -1064,10 +866,6 @@ TEST(ShardStatsTest, ConcurrentSnapshotsNeverTearOrRegress) {
     while (!stop.load(std::memory_order_relaxed)) {
       ShardedDataset::IoStats s = sharded.io_stats();
       if (s.maps < last.maps || s.evictions < last.evictions ||
-          s.prefetch_issued < last.prefetch_issued ||
-          s.prefetch_completed < last.prefetch_completed ||
-          s.prefetch_hits < last.prefetch_hits ||
-          s.prefetch_wasted < last.prefetch_wasted ||
           s.stall_nanos < last.stall_nanos || s.resident_bytes < 0 ||
           s.peak_resident_bytes < 0) {
         failed.store(true, std::memory_order_relaxed);
@@ -1077,13 +875,12 @@ TEST(ShardStatsTest, ConcurrentSnapshotsNeverTearOrRegress) {
     }
   });
 
-  // Writers: concurrent streamed passes (pins, maps, evictions, hints).
+  // Writers: concurrent streamed passes (pins, maps, evictions).
   std::vector<std::thread> scanners;
   for (int t = 0; t < 4; ++t) {
     scanners.emplace_back([&, t] {
       for (int pass = 0; pass < 20; ++pass) {
         const int64_t begin = (t * 100) % n;
-        sharded.PrefetchHint(begin, n);
         ForEachBlock(sharded, begin, n, [](const DatasetView&) {});
       }
     });
@@ -1093,15 +890,13 @@ TEST(ShardStatsTest, ConcurrentSnapshotsNeverTearOrRegress) {
   reader.join();
   EXPECT_FALSE(failed.load());
 
+  // Quiescent: every map is either still resident or was evicted, and
+  // with no pin left the window holds.
   auto stats = sharded.io_stats();
   EXPECT_GT(stats.maps, 0);
-  EXPECT_GE(stats.prefetch_issued, stats.prefetch_completed);
-  // Every hit or wasted eviction consumes one issued prefetch. (Not
-  // compared against prefetch_completed: a pin may legitimately count a
-  // hit while the background worker is still warming pages, before it
-  // bumps the completed counter.)
-  EXPECT_GE(stats.prefetch_issued,
-            stats.prefetch_hits + stats.prefetch_wasted);
+  EXPECT_EQ(stats.resident_bytes,
+            (stats.maps - stats.evictions) * ShardBytes(50, d, false, false));
+  EXPECT_LE(stats.resident_bytes, options.max_resident_bytes);
 }
 
 TEST(ShardEquivalenceTest, MiniBatchBitwiseIdentical) {
