@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "clustering/types.h"
 #include "distance/nearest.h"
@@ -42,14 +43,21 @@ using NearestRangeFn =
 /// kDeterministicChunks grid, combined in chunk order. When every chunk
 /// holds at least kPointTile rows, rows are evaluated chunk by chunk.
 /// Smaller inputs are evaluated in tiles of at least kPointTile rows
-/// (the whole input without a pool) before the same fold, so a short
-/// request reaches the engine as one block rather than as one-row
-/// slivers. `find` must give each row a value that depends only on the
+/// (the whole input without a pool) and their stored w·d² folded by
+/// FoldRowCosts, the same fold, so a short request reaches the engine
+/// as one block rather than as one-row slivers. `find` must give each row a value that depends only on the
 /// row, which makes both schedules bitwise identical at any pool size.
 /// `out_cluster` (length n) and `point_norms` (length n) may be null.
 double ReduceNearest(const DatasetSource& data, const NearestRangeFn& find,
                      ThreadPool* pool, const double* point_norms,
                      int32_t* out_cluster);
+
+/// Σ row_costs[i] over i < n, folded as every reduction here folds: a
+/// Kahan partial per chunk of the fixed kDeterministicChunks grid, rows
+/// ascending within a chunk, partials merged in chunk order. So for the
+/// rows' w·d² against one center set it is bitwise that set's
+/// ComputeCost, at any pool size (`pool` may be null).
+double FoldRowCosts(const double* row_costs, int64_t n, ThreadPool* pool);
 
 /// The reduction behind ComputeCost / ComputeAssignment, over a
 /// caller-provided frozen search: one panel scan of `search`'s centers
@@ -87,6 +95,17 @@ double ComputeCost(const DatasetSource& data, const Matrix& centers,
 double ComputeCost(const Dataset& data, const Matrix& centers,
                    ThreadPool* pool = nullptr,
                    const double* point_norms = nullptr);
+
+/// φ_X(C) that also records each row's w·d²(x, C) in `row_costs`
+/// (resized to n; 8 bytes per row). Rows below `first_row` are taken as
+/// already recorded by an earlier call with bitwise the same centers
+/// over the same rows, and only rows [first_row, n) are scored. The
+/// result is FoldRowCosts over all n values: bitwise ComputeCost(data,
+/// centers) at any pool size, which lets a caller whose source only
+/// appends rows re-score just the new ones.
+double ComputeRowCosts(const DatasetSource& data, const Matrix& centers,
+                       ThreadPool* pool, int64_t first_row,
+                       std::vector<double>* row_costs);
 
 /// Nearest-center assignment for every point plus the implied cost.
 /// `point_norms` (length n) may be null.

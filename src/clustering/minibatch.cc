@@ -9,10 +9,10 @@
 
 namespace kmeansll {
 
-Result<MiniBatchResult> RunMiniBatch(const DatasetSource& data,
-                                     const Matrix& initial_centers,
-                                     const MiniBatchOptions& options,
-                                     rng::Rng rng) {
+Result<MiniBatchResult> RunMiniBatchSteps(const DatasetSource& data,
+                                          const Matrix& initial_centers,
+                                          const MiniBatchOptions& options,
+                                          rng::Rng rng) {
   if (initial_centers.rows() == 0) {
     return Status::InvalidArgument("initial center set is empty");
   }
@@ -80,6 +80,16 @@ Result<MiniBatchResult> RunMiniBatch(const DatasetSource& data,
       break;
     }
   }
+  return result;
+}
+
+Result<MiniBatchResult> RunMiniBatch(const DatasetSource& data,
+                                     const Matrix& initial_centers,
+                                     const MiniBatchOptions& options,
+                                     rng::Rng rng) {
+  KMEANSLL_ASSIGN_OR_RETURN(
+      MiniBatchResult result,
+      RunMiniBatchSteps(data, initial_centers, options, rng));
   result.final_cost = ComputeCost(data, result.centers);
   // A degraded source served fallback blocks above: report the root
   // cause instead of a result trained on synthetic zeros.

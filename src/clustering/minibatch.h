@@ -49,6 +49,16 @@ Result<MiniBatchResult> RunMiniBatch(const DatasetSource& data,
                                      const MiniBatchOptions& options,
                                      rng::Rng rng);
 
+/// RunMiniBatch's SGD steps alone: every field of the result but
+/// final_cost (left 0), with no full pass over the data and no check of
+/// data.status(). RunMiniBatch is this plus one ComputeCost pass and
+/// that check; a caller that runs its own cost pass (on a pool, or
+/// recording per-row costs) calls this and then does both itself.
+Result<MiniBatchResult> RunMiniBatchSteps(const DatasetSource& data,
+                                          const Matrix& initial_centers,
+                                          const MiniBatchOptions& options,
+                                          rng::Rng rng);
+
 }  // namespace kmeansll
 
 #endif  // KMEANSLL_CLUSTERING_MINIBATCH_H_

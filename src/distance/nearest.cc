@@ -19,11 +19,12 @@ std::vector<double> RowSquaredNorms(const Matrix& m, ThreadPool* pool) {
 
 std::vector<double> RowSquaredNorms(const DatasetSource& data,
                                     ThreadPool* pool) {
-  std::vector<double> norms(static_cast<size_t>(data.n()));
+  const int64_t n = data.n();
+  std::vector<double> norms(static_cast<size_t>(n));
   const int64_t d = data.dim();
-  const ScanSchedule schedule = MakeScanSchedule(data, data.n(), pool);
+  const ScanSchedule schedule = MakeScanSchedule(data, n, pool);
   ParallelFor(
-      pool, data.n(),
+      pool, n,
       [&](IndexRange r) {
         ForEachBlock(data, r.begin, r.end, [&](const DatasetView& v) {
           for (int64_t i = 0; i < v.rows(); ++i) {

@@ -14,6 +14,25 @@ double InMemorySource::TotalWeight() const {
   return sum.Total();
 }
 
+double PrefixSource::TotalWeight() const {
+  if (!has_weights()) return static_cast<double>(n_);
+  KahanSum sum;
+  ForEachBlock(*this, 0, n_, [&](const DatasetView& v) {
+    for (int64_t i = 0; i < v.rows(); ++i) sum.Add(v.Weight(i));
+  });
+  return sum.Total();
+}
+
+std::vector<std::pair<int64_t, int64_t>> PrefixSource::ResidencyRanges()
+    const {
+  std::vector<std::pair<int64_t, int64_t>> ranges = base_.ResidencyRanges();
+  while (!ranges.empty() && ranges.back().first >= n_) ranges.pop_back();
+  if (!ranges.empty()) {
+    ranges.back().second = std::min(ranges.back().second, n_);
+  }
+  return ranges;
+}
+
 namespace {
 
 template <typename PerRun>

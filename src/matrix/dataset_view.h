@@ -141,6 +141,12 @@ class PinnedBlock {
 /// Abstract provider of pinned row-range views. Implemented by
 /// InMemorySource (below) over a Dataset and by data::ShardedDataset over
 /// memory-mapped binary shards.
+///
+/// Precondition of every driver that takes a source (ComputeCost,
+/// KMeans::Fit, RunMiniBatch, ...): n() does not change during the
+/// call. Drivers size per-row state from one n() and scan to another,
+/// so a source that grows under them (data::LiveDataset beside a
+/// producer) must be handed over as a PrefixSource of a fixed n.
 class DatasetSource {
  public:
   virtual ~DatasetSource() = default;
@@ -217,6 +223,37 @@ class InMemorySource final : public DatasetSource {
 
  private:
   DatasetView view_;
+};
+
+/// Rows [0, n) of another source, at a fixed n however far `base` grows
+/// meanwhile. Pins, weights, health and the residency window forward to
+/// `base`; ResidencyRanges is clipped to [0, n). `base` must outlive the
+/// view, hold at least n rows, and never change rows it already holds.
+class PrefixSource final : public DatasetSource {
+ public:
+  PrefixSource(const DatasetSource& base, int64_t n) : base_(base), n_(n) {
+    KMEANSLL_CHECK(n >= 0);
+  }
+
+  int64_t n() const override { return n_; }
+  int64_t dim() const override { return base_.dim(); }
+  bool has_weights() const override { return base_.has_weights(); }
+  bool has_labels() const override { return base_.has_labels(); }
+  double TotalWeight() const override;
+
+  PinnedBlock Pin(int64_t begin, int64_t end) const override {
+    KMEANSLL_CHECK(begin >= 0 && begin < end && end <= n_);
+    return base_.Pin(begin, end);
+  }
+  std::vector<std::pair<int64_t, int64_t>> ResidencyRanges() const override;
+  int64_t ResidentUnitCapacity() const override {
+    return base_.ResidentUnitCapacity();
+  }
+  Status status() const override { return base_.status(); }
+
+ private:
+  const DatasetSource& base_;
+  const int64_t n_;
 };
 
 /// Visits [begin, end) as a sequence of pinned contiguous views in

@@ -1,6 +1,8 @@
 #include "serving/freshness.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <utility>
 
 #include "clustering/cost.h"
@@ -86,6 +88,15 @@ Result<LoopCheckpoint> DecodeCheckpoint(std::string_view bytes,
   return out;
 }
 
+/// Same shape and the same bits (memcmp, unlike Matrix::operator==,
+/// tells -0.0 from 0.0).
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      static_cast<size_t>(a.size()) * sizeof(double)) == 0);
+}
+
 }  // namespace
 
 RefineLoop::RefineLoop(ModelServer* server, const DatasetSource* data,
@@ -154,6 +165,7 @@ Status RefineLoop::Recover() {
         return checkpoint.centers;
       });
   if (!published.ok()) return published;
+  scored_rows_ = 0;
   cycle_ = checkpoint.cycle;
   watermark_ = checkpoint.watermark;
   ewma_ = checkpoint.ewma;
@@ -182,15 +194,31 @@ Status RefineLoop::RunOnceLocked() {
     return Status::OK();
   }
   KMEANSLL_RETURN_NOT_OK(fault::Check("freshness.refine"));
+  // Every pass below reads the rows [0, n) this cycle began with, even
+  // while a producer appends to the source.
+  const PrefixSource rows(*data_, n);
+  if (pool_ == nullptr) {
+    const int threads = options_.reseed.num_threads > 0
+                            ? options_.reseed.num_threads
+                            : ThreadPool::DefaultThreadCount();
+    pool_ = std::make_unique<ThreadPool>(threads);
+  }
 
   // Drift: the SERVED model's cost-per-point on the data as it is now,
   // against the EWMA of what this loop's own refinements achieve. The
   // ratio test fires exactly when serving quality fell off the baseline
   // — new rows alone don't trigger a reseed if the served centers still
-  // explain them.
+  // explain them. When the server still serves the loop's own last
+  // minibatch publish, only the rows appended since need scoring.
   const std::shared_ptr<const CenterIndex> snapshot = server_->Acquire();
+  const Matrix& served = snapshot->centers();
+  const int64_t first_unscored =
+      BitwiseEqual(served, scored_centers_) ? std::min(scored_rows_, n) : 0;
+  scored_rows_ = 0;  // row_costs_ is rewritten below
   const double served_cpp =
-      ComputeCost(*data_, snapshot->centers()) / static_cast<double>(n);
+      ComputeRowCosts(rows, served, pool_.get(), first_unscored,
+                      &row_costs_) /
+      static_cast<double>(n);
   const bool reseed =
       ewma_ > 0 && served_cpp > options_.drift_reseed_ratio * ewma_;
   const uint64_t cycle_seed =
@@ -201,17 +229,22 @@ Status RefineLoop::RunOnceLocked() {
   if (reseed) {
     KMeansConfig config = options_.reseed;
     config.seed = cycle_seed;
+    config.num_threads = pool_->num_threads();
     KMeans trainer(std::move(config));
-    KMEANSLL_ASSIGN_OR_RETURN(KMeansReport report, trainer.Fit(*data_));
+    KMEANSLL_ASSIGN_OR_RETURN(KMeansReport report, trainer.Fit(rows));
     next = std::move(report.centers);
     post_cost = report.final_cost;
   } else {
     KMEANSLL_ASSIGN_OR_RETURN(
         MiniBatchResult refined,
-        RunMiniBatch(*data_, snapshot->centers(), options_.minibatch,
-                     rng::Rng(cycle_seed)));
+        RunMiniBatchSteps(rows, served, options_.minibatch,
+                          rng::Rng(cycle_seed)));
     next = std::move(refined.centers);
-    post_cost = refined.final_cost;
+    post_cost = ComputeRowCosts(rows, next, pool_.get(), 0, &row_costs_);
+    // A degraded source served fallback blocks: fail the cycle rather
+    // than publish centers trained on them.
+    KMEANSLL_RETURN_NOT_OK(rows.status());
+    scored_centers_ = next;
   }
   const double post_cpp = post_cost / static_cast<double>(n);
 
@@ -228,6 +261,9 @@ Status RefineLoop::RunOnceLocked() {
   KMEANSLL_RETURN_NOT_OK(WriteCheckpointLocked(next));
   KMEANSLL_RETURN_NOT_OK(server_->Refine(
       [&](const CenterIndex&) -> Result<Matrix> { return std::move(next); }));
+  // The server now serves scored_centers_ (a minibatch's): the next
+  // cycle may reuse their row costs.
+  if (!reseed) scored_rows_ = n;
 
   ++stats_.cycles;
   GetRefineMetrics().cycles->Increment();
@@ -239,6 +275,7 @@ Status RefineLoop::RunOnceLocked() {
     GetRefineMetrics().minibatch_refines->Increment();
   }
   stats_.last_cost_per_point = post_cpp;
+  stats_.served_cost_per_point = served_cpp;
   return Status::OK();
 }
 

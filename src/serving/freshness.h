@@ -9,13 +9,25 @@
 // freshness —
 //
 //   drift small:  mini-batch SGD from the served centers (Sculley's
-//                 Algorithm 1 — a few sampled batches, no full pass)
+//                 Algorithm 1 — a few sampled batches), then one full
+//                 cost pass for the post-refine cost-per-point
 //   drift large:  full k-means|| re-seed + Lloyd (the paper's
 //                 pipeline), because SGD from a stale basin cannot
 //                 escape it once the data has genuinely moved
 //
 // The result republishes through ModelServer::Refine, so readers are
 // never blocked (RCU snapshot swap) and the version advances.
+//
+// Every pass of a cycle runs on the loop's one ThreadPool (the re-seed
+// Fit with as many threads of its own) over the rows [0, n) the cycle
+// began with, however far the source grows meanwhile. The minibatch's
+// cost pass records each row's w·d² (8 bytes per row); when the next
+// cycle finds the server still serving bitwise those centers, its drift
+// pass scores only the rows appended since and folds all n on the same
+// fixed chunk grid, so the drift value is bitwise the full pass's. Any
+// other served snapshot gets the full pass. Each pass is pool-invariant,
+// so centers, checkpoints and cost history do not depend on the pool
+// size.
 //
 // Crash safety mirrors the training checkpoints: each cycle persists a
 // small "KMLLFRSH" artifact (cycle counter, data watermark, EWMA, the
@@ -44,6 +56,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -53,6 +66,7 @@
 #include "common/result.h"
 #include "core/kmeans.h"
 #include "matrix/dataset_view.h"
+#include "parallel/thread_pool.h"
 #include "serving/model_server.h"
 
 namespace kmeansll::serving {
@@ -78,6 +92,9 @@ struct RefineLoopOptions {
   MiniBatchOptions minibatch;
   /// The expensive repair: a full re-seed pipeline (k, k-means||
   /// options, Lloyd budget). `reseed.seed` is overridden per cycle.
+  /// `reseed.num_threads` sizes the loop's pool, which runs every pass
+  /// of a cycle, and the re-seed Fit runs with as many threads; 0 (the
+  /// default) means ThreadPool::DefaultThreadCount().
   KMeansConfig reseed;
 
   /// Crash-resume checkpoint path; empty disables checkpointing (and
@@ -103,14 +120,19 @@ struct RefineStats {
   int64_t recoveries = 0;         ///< Recover() calls that restored state
   int64_t slo_misses = 0;         ///< ticks that found the SLO blown
   double last_cost_per_point = 0; ///< post-refine, newest cycle
+  /// The newest cycle's drift measurement: the model served when it
+  /// began, scored on its rows (ComputeCost / n, bitwise).
+  double served_cost_per_point = 0;
   double ewma_cost_per_point = 0; ///< the drift baseline
   int64_t watermark = 0;          ///< rows covered by the served model
 };
 
 /// Binds one ModelServer to one growing DatasetSource. Both pointers
-/// must outlive the loop. RunOnce/Recover are serialized internally and
-/// safe to call concurrently with the background thread; the server and
-/// dataset are only touched through their own thread-safe interfaces.
+/// must outlive the loop. The source may grow at any time, but only by
+/// appending: rows it already holds never change. RunOnce/Recover are
+/// serialized internally and safe to call concurrently with the
+/// background thread; the server and dataset are only touched through
+/// their own thread-safe interfaces.
 class RefineLoop {
  public:
   RefineLoop(ModelServer* server, const DatasetSource* data,
@@ -158,6 +180,13 @@ class RefineLoop {
   double ewma_ = 0;
   std::vector<double> cost_history_;
   RefineStats stats_;
+  std::unique_ptr<ThreadPool> pool_;  // made by the first cycle
+  // Drift cache: row_costs_[i] is row i's w·d² against scored_centers_
+  // for i < scored_rows_, the loop's own last minibatch publish (0 rows
+  // when the server may serve anything else).
+  std::vector<double> row_costs_;
+  Matrix scored_centers_;
+  int64_t scored_rows_ = 0;
 
   std::mutex thread_mu_;  // Start/Stop + tick wakeup
   std::condition_variable tick_cv_;

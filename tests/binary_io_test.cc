@@ -9,12 +9,13 @@
 #include "data/binary_io.h"
 #include "data/synthetic.h"
 #include "rng/rng.h"
+#include "test_paths.h"
 
 namespace kmeansll::data {
 namespace {
 
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return ScratchPath(name);
 }
 
 TEST(BinaryIoTest, RoundTripPlainPoints) {

@@ -11,6 +11,7 @@
 #include "core/version.h"
 #include "data/synthetic.h"
 #include "rng/rng.h"
+#include "test_paths.h"
 
 namespace kmeansll {
 namespace {
@@ -183,7 +184,7 @@ TEST(ModelIoTest, SaveLoadRoundTrip) {
   auto report = KMeans(config).Fit(gauss.data);
   ASSERT_TRUE(report.ok());
 
-  std::string path = ::testing::TempDir() + "/kmeansll_model.bin";
+  std::string path = ScratchPath("kmeansll_model.bin");
   ASSERT_TRUE(SaveCenters(report->centers, path).ok());
   auto loaded = LoadCenters(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -193,7 +194,7 @@ TEST(ModelIoTest, SaveLoadRoundTrip) {
 
 TEST(ModelIoTest, LoadRejectsGarbage) {
   EXPECT_TRUE(LoadCenters("/nonexistent/model.bin").status().IsIOError());
-  std::string path = ::testing::TempDir() + "/kmeansll_garbage.bin";
+  std::string path = ScratchPath("kmeansll_garbage.bin");
   {
     FILE* f = fopen(path.c_str(), "wb");
     fputs("this is not a model", f);
@@ -209,7 +210,7 @@ TEST(ModelIoTest, LoadRejectsTruncated) {
   config.k = 3;
   auto report = KMeans(config).Fit(gauss.data);
   ASSERT_TRUE(report.ok());
-  std::string path = ::testing::TempDir() + "/kmeansll_trunc.bin";
+  std::string path = ScratchPath("kmeansll_trunc.bin");
   ASSERT_TRUE(SaveCenters(report->centers, path).ok());
   // Truncate the file to cut into the payload.
   {

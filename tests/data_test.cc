@@ -15,6 +15,7 @@
 #include "data/transform.h"
 #include "distance/l2.h"
 #include "rng/rng.h"
+#include "test_paths.h"
 
 namespace kmeansll::data {
 namespace {
@@ -217,7 +218,7 @@ TEST(SeparatedClustersTest, CentersAreSeparated) {
 
 TEST(CsvTest, RoundTripMatrix) {
   Matrix m = Matrix::FromValues(3, 2, {1.5, -2.25, 0.0, 4.0, 1e10, -3e-7});
-  std::string path = ::testing::TempDir() + "/kmeansll_csv_test.csv";
+  std::string path = ScratchPath("kmeansll_csv_test.csv");
   ASSERT_TRUE(WriteCsv(m, path).ok());
   auto loaded = ReadCsv(path, CsvOptions());
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -234,7 +235,7 @@ TEST(CsvTest, RoundTripMatrix) {
 TEST(CsvTest, RoundTripLabels) {
   auto generated = GenerateSeparatedClusters(3, 5, 2, 10.0, rng::Rng(13));
   ASSERT_TRUE(generated.ok());
-  std::string path = ::testing::TempDir() + "/kmeansll_csv_labels.csv";
+  std::string path = ScratchPath("kmeansll_csv_labels.csv");
   ASSERT_TRUE(WriteCsv(generated->data, path).ok());
   CsvOptions options;
   options.label_column = 2;  // label written last
@@ -250,7 +251,7 @@ TEST(CsvTest, RejectsMissingFileAndBadContent) {
   EXPECT_TRUE(ReadCsv("/nonexistent/nowhere.csv", CsvOptions())
                   .status()
                   .IsIOError());
-  std::string path = ::testing::TempDir() + "/kmeansll_bad.csv";
+  std::string path = ScratchPath("kmeansll_bad.csv");
   {
     FILE* f = fopen(path.c_str(), "w");
     fputs("1,2\n3,4,5\n", f);  // ragged rows
@@ -273,7 +274,7 @@ TEST(CsvTest, RejectsMissingFileAndBadContent) {
 }
 
 TEST(CsvTest, HeaderSkippedWhenConfigured) {
-  std::string path = ::testing::TempDir() + "/kmeansll_header.csv";
+  std::string path = ScratchPath("kmeansll_header.csv");
   {
     FILE* f = fopen(path.c_str(), "w");
     fputs("colA,colB\n1,2\n3,4\n", f);

@@ -11,6 +11,7 @@
 #include "eval/args.h"
 #include "eval/table.h"
 #include "eval/trials.h"
+#include "test_paths.h"
 
 namespace kmeansll::eval {
 namespace {
@@ -67,7 +68,7 @@ TEST(TablePrinterTest, TsvRoundTrip) {
   TablePrinter table({"a", "b"});
   table.AddRow({"1", "2"});
   table.AddRow({"3", "4"});
-  std::string path = ::testing::TempDir() + "/kmeansll_table.tsv";
+  std::string path = ScratchPath("kmeansll_table.tsv");
   ASSERT_TRUE(table.WriteTsv(path).ok());
   std::ifstream in(path);
   std::string line;

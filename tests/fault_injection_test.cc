@@ -45,6 +45,7 @@
 #include "parallel/thread_pool.h"
 #include "rng/rng.h"
 #include "rng/splitmix64.h"
+#include "test_paths.h"
 
 namespace kmeansll {
 namespace {
@@ -69,7 +70,7 @@ struct FaultGuard {
 };
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "kmll_fault_" + name;
+  return ScratchPath("kmll_fault_" + name);
 }
 
 /// Deterministic hashed-uniform dataset (no weights/labels: the fault

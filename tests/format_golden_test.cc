@@ -44,6 +44,7 @@
 #include "serving/center_index.h"
 #include "serving/freshness.h"
 #include "serving/model_server.h"
+#include "test_paths.h"
 
 namespace kmeansll {
 namespace {
@@ -111,7 +112,7 @@ class Layout {
 };
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "kmll_golden_" + name;
+  return ScratchPath("kmll_golden_" + name);
 }
 
 std::string ReadFile(const std::string& path) {
@@ -220,7 +221,7 @@ TEST(FormatGoldenTest, KmllDataVersion1StillLoads) {
   auto written = data::WriteShards(data, manifest,
                                    data::ShardWriteOptions{.num_shards = 2});
   ASSERT_TRUE(written.ok()) << written.status();
-  WriteFile(::testing::TempDir() + written->shards[0].file,
+  WriteFile(ShardFilePath(manifest, written->shards[0].file),
             DataFile(data, 0, written->shards[0].rows, /*version=*/1));
   auto sharded = data::ShardedDataset::Open(manifest);
   ASSERT_TRUE(sharded.ok()) << sharded.status();

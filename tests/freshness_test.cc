@@ -17,27 +17,43 @@
 //     trusted.
 //   * The SLO watchdog flips MarkStale, visible through ModelServer
 //     stats and the registry's TenantStats; a publish clears it.
+//   * A cycle reads the rows [0, n) it began with, however far the
+//     source grows meanwhile.
+//   * The drift measurement is bitwise a full ComputeCost pass of the
+//     served centers, yet a minibatch cycle whose served model is the
+//     loop's own last minibatch publish scores only the new rows.
+//   * The loop's pool size changes no bit of what it publishes or
+//     checkpoints.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "clustering/cost.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/result.h"
 #include "data/live_dataset.h"
+#include "matrix/dataset_view.h"
 #include "matrix/matrix.h"
 #include "rng/rng.h"
 #include "serving/center_index.h"
 #include "serving/freshness.h"
 #include "serving/model_server.h"
 #include "serving/server_registry.h"
+#include "test_paths.h"
 
 namespace kmeansll {
 namespace {
@@ -60,7 +76,7 @@ struct FaultGuard {
 };
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "kmll_fresh_" + name;
+  return ScratchPath("kmll_fresh_" + name);
 }
 
 void CleanBase(const std::string& base) {
@@ -473,6 +489,299 @@ TEST(RefineLoopTest, BackgroundThreadRefinesAndStaysFresh) {
   EXPECT_GE(loop.stats().cycles, 1);
   EXPECT_GE(server.published_version(), v0 + 1);
   EXPECT_FALSE(server.serving_stale());
+}
+
+/// Counts the rows pinned through it (perfbench's CountingSource,
+/// reduced to what these tests read).
+class CountingSource final : public DatasetSource {
+ public:
+  explicit CountingSource(const DatasetSource* inner) : inner_(inner) {}
+
+  int64_t n() const override { return inner_->n(); }
+  int64_t dim() const override { return inner_->dim(); }
+  bool has_weights() const override { return inner_->has_weights(); }
+  bool has_labels() const override { return inner_->has_labels(); }
+  double TotalWeight() const override { return inner_->TotalWeight(); }
+  PinnedBlock Pin(int64_t begin, int64_t end) const override {
+    PinnedBlock block = inner_->Pin(begin, end);
+    rows_.fetch_add(block.view().rows());
+    return block;
+  }
+  std::vector<std::pair<int64_t, int64_t>> ResidencyRanges() const override {
+    return inner_->ResidencyRanges();
+  }
+  int64_t ResidentUnitCapacity() const override {
+    return inner_->ResidentUnitCapacity();
+  }
+  Status status() const override { return inner_->status(); }
+
+  int64_t rows_pinned() const { return rows_.load(); }
+
+ private:
+  const DatasetSource* inner_;
+  mutable std::atomic<int64_t> rows_{0};
+};
+
+/// The first rows of a fixed table. Its visible prefix grows by `grow`
+/// rows every time n() is read, as a LiveDataset grows under a producer
+/// between a driver's reads; with grow = 0 it is the frozen source of
+/// its current prefix.
+class GrowingSource final : public DatasetSource {
+ public:
+  GrowingSource(const Matrix* table, int64_t visible, int64_t grow)
+      : table_(table),
+        all_(ConstMatrixView(table->data(), table->rows(), table->cols()),
+             nullptr, nullptr),
+        visible_(visible),
+        grow_(grow) {}
+
+  void set_visible(int64_t rows) { visible_.store(rows); }
+
+  int64_t n() const override {
+    const int64_t rows = visible_.load();
+    if (grow_ > 0) visible_.store(std::min(rows + grow_, table_->rows()));
+    return rows;
+  }
+  int64_t dim() const override { return table_->cols(); }
+  bool has_weights() const override { return false; }
+  bool has_labels() const override { return false; }
+  double TotalWeight() const override {
+    return static_cast<double>(visible_.load());
+  }
+  PinnedBlock Pin(int64_t begin, int64_t end) const override {
+    return all_.Pin(begin, end);
+  }
+
+ private:
+  const Matrix* table_;
+  InMemorySource all_;
+  mutable std::atomic<int64_t> visible_;
+  const int64_t grow_;
+};
+
+void ExpectSameStats(const RefineStats& got, const RefineStats& expected,
+                     const std::string& what) {
+  EXPECT_EQ(got.cycles, expected.cycles) << what;
+  EXPECT_EQ(got.skipped, expected.skipped) << what;
+  EXPECT_EQ(got.minibatch_refines, expected.minibatch_refines) << what;
+  EXPECT_EQ(got.reseeds, expected.reseeds) << what;
+  EXPECT_EQ(got.failures, expected.failures) << what;
+  EXPECT_EQ(got.checkpoint_retries, expected.checkpoint_retries) << what;
+  EXPECT_EQ(got.recoveries, expected.recoveries) << what;
+  EXPECT_EQ(got.slo_misses, expected.slo_misses) << what;
+  EXPECT_EQ(got.last_cost_per_point, expected.last_cost_per_point) << what;
+  EXPECT_EQ(got.ewma_cost_per_point, expected.ewma_cost_per_point) << what;
+  EXPECT_EQ(got.watermark, expected.watermark) << what;
+  EXPECT_EQ(got.served_cost_per_point, expected.served_cost_per_point)
+      << what;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Centers far from every row: the next cycle's drift forces a re-seed.
+Matrix FarCenters() {
+  Matrix m = InitialCenters();
+  for (int64_t i = 0; i < m.size(); ++i) m.data()[i] += 50.0;
+  return m;
+}
+
+TEST(RefineLoopTest, GrowingSourceRefinesLikeItsFrozenPrefix) {
+  FaultGuard guard;
+  Matrix table(400, kDim);
+  for (int64_t r = 0; r < table.rows(); ++r) {
+    for (int64_t j = 0; j < kDim; ++j) table.Row(r)[j] = ClusterCoord(r, j);
+  }
+  // G's source gains 8 rows at every look; F's holds the rows G's cycle
+  // began with. Cycle 2 onwards re-seeds.
+  GrowingSource growing(&table, /*visible=*/24, /*grow=*/8);
+  GrowingSource frozen(&table, /*visible=*/0, /*grow=*/0);
+  RefineLoopOptions options = SmallLoopOptions();
+  options.drift_reseed_ratio = 0.0;
+  ModelServer server_g(CenterIndex::Build(InitialCenters()));
+  ModelServer server_f(CenterIndex::Build(InitialCenters()));
+  RefineLoop loop_g(&server_g, &growing, options);
+  RefineLoop loop_f(&server_f, &frozen, options);
+
+  for (int cycle = 1; cycle <= 3; ++cycle) {
+    const std::string what = "cycle " + std::to_string(cycle);
+    ASSERT_TRUE(loop_g.RunOnce().ok()) << what;
+    frozen.set_visible(loop_g.stats().watermark);
+    ASSERT_TRUE(loop_f.RunOnce().ok()) << what;
+    ExpectSameStats(loop_g.stats(), loop_f.stats(), what);
+    ExpectBitwiseEqual(ServedCenters(server_g), ServedCenters(server_f),
+                       what + " centers");
+    EXPECT_EQ(loop_g.cost_history(), loop_f.cost_history()) << what;
+    // A diverged cycle may already have scanned past what it sized.
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(loop_g.stats().reseeds, 2);
+}
+
+TEST(RefineLoopTest, BackgroundReseedsBesideAnAppendingProducer) {
+  // Every cycle after the first re-seeds (a full Fit, d = 32) while this
+  // thread keeps appending: the Fit must stay inside the rows it began
+  // with (sanitizer builds catch a scan past its per-row arrays).
+  FaultGuard guard;
+  constexpr int64_t kWideDim = 32;
+  constexpr int64_t kBatchRows = 8;
+  const std::string base = TempPath("bg_append");
+  CleanBase(base);
+  LiveDatasetOptions live_options;
+  live_options.rows_per_shard = 64;
+  Result<LiveDataset> opened = LiveDataset::Open(
+      base, kWideDim, /*has_weights=*/false, live_options);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  LiveDataset live = std::move(opened).ValueOrDie();
+  Matrix initial(2, kWideDim);
+  for (int64_t j = 0; j < kWideDim; ++j) {
+    initial.Row(0)[j] = 1.5;
+    initial.Row(1)[j] = 6.0;
+  }
+  ModelServer server(CenterIndex::Build(initial));
+  RefineLoopOptions options = SmallLoopOptions();
+  options.drift_reseed_ratio = 0.0;
+  options.tick_ms = 1;
+  RefineLoop loop(&server, &live, options);
+  loop.Start();
+
+  std::vector<double> batch(static_cast<size_t>(kBatchRows * kWideDim));
+  int64_t rows = 0;
+  for (int b = 0; b < 20000 && loop.stats().reseeds < 3; ++b) {
+    for (int64_t i = 0; i < kBatchRows; ++i) {
+      for (int64_t j = 0; j < kWideDim; ++j) {
+        batch[static_cast<size_t>(i * kWideDim + j)] =
+            ClusterCoord(rows + i, j);
+      }
+    }
+    Status appended = live.Append(batch.data(), kBatchRows);
+    if (appended.IsUnavailable()) {
+      ASSERT_TRUE(live.Seal().ok());
+      appended = live.Append(batch.data(), kBatchRows);
+    }
+    ASSERT_TRUE(appended.ok()) << appended;
+    rows += kBatchRows;
+  }
+  loop.Stop();
+
+  const RefineStats stats = loop.stats();
+  EXPECT_GE(stats.reseeds, 3);
+  EXPECT_EQ(stats.failures, 0);
+  EXPECT_LE(stats.watermark, live.n());
+  EXPECT_EQ(server.published_version(),
+            CenterIndex::Build(initial)->version() +
+                static_cast<uint64_t>(stats.cycles));
+}
+
+TEST(RefineLoopTest, DriftIsTheFullPassAndNewRowsOnlyAfterOwnMinibatch) {
+  FaultGuard guard;
+  LiveDataset live = OpenLive(TempPath("drift"));
+  CountingSource counting(&live);
+  const std::string ckpt = TempPath("drift.frsh");
+  std::remove(ckpt.c_str());
+  RefineLoopOptions options = SmallLoopOptions();
+  options.checkpoint_path = ckpt;
+  ModelServer server(CenterIndex::Build(InitialCenters()));
+  auto loop = std::make_unique<RefineLoop>(&server, &counting, options);
+  const int64_t sampled =
+      options.minibatch.iterations * options.minibatch.batch_size;
+
+  // Appends `rows` rows and runs one cycle. Its drift value must be the
+  // test's own full pass over the centers served when it began. A
+  // minibatch cycle pins the drift rows from `first_scored` (0: a full
+  // pass), the SGD batches, and one full cost pass.
+  int64_t appended = 0;
+  auto cycle = [&](int64_t rows, bool reseed, int64_t first_scored) {
+    AppendRows(&live, appended, rows);
+    ASSERT_TRUE(live.Seal().ok());
+    appended += rows;
+    const Matrix served = ServedCenters(server);
+    const RefineStats before = loop->stats();
+    const int64_t pinned_before = counting.rows_pinned();
+    ASSERT_TRUE(loop->RunOnce().ok());
+    const RefineStats after = loop->stats();
+    const int64_t n = live.n();
+    EXPECT_EQ(after.served_cost_per_point,
+              ComputeCost(live, served) / static_cast<double>(n))
+        << "n = " << n;
+    ASSERT_EQ(after.reseeds - before.reseeds, reseed ? 1 : 0) << "n = " << n;
+    if (!reseed) {
+      EXPECT_EQ(counting.rows_pinned() - pinned_before,
+                (n - first_scored) + sampled + n)
+          << "n = " << n;
+    }
+  };
+
+  cycle(24, false, 0);   // nothing scored yet: full pass
+  cycle(16, false, 24);  // serving its own minibatch: 16 new rows
+  cycle(16, false, 40);
+  // An outside publish of centers one ulp away: a full pass.
+  Matrix nudged = ServedCenters(server);
+  nudged.Row(0)[0] = std::nextafter(nudged.Row(0)[0], 1e9);
+  ASSERT_TRUE(server.Publish(CenterIndex::Build(nudged)).ok());
+  cycle(16, false, 0);
+  cycle(16, false, 72);
+  // Far-off centers force a re-seed; the cycle after it scores in full.
+  ASSERT_TRUE(server.Publish(CenterIndex::Build(FarCenters())).ok());
+  cycle(16, true, 0);
+  cycle(16, false, 0);
+  cycle(16, false, 120);
+  // A recovered loop starts with nothing scored.
+  loop = std::make_unique<RefineLoop>(&server, &counting, options);
+  ASSERT_TRUE(loop->Recover().ok());
+  ASSERT_EQ(loop->stats().recoveries, 1);
+  cycle(16, false, 0);
+  cycle(16, false, 152);
+  EXPECT_EQ(loop->stats().minibatch_refines, 2);
+  std::remove(ckpt.c_str());
+}
+
+TEST(RefineLoopTest, PoolSizeChangesNoPublishedOrCheckpointedBit) {
+  FaultGuard guard;
+  LiveDataset live_1 = OpenLive(TempPath("pool_1"));
+  LiveDataset live_d = OpenLive(TempPath("pool_d"));
+  const std::string ckpt_1 = TempPath("pool_1.frsh");
+  const std::string ckpt_d = TempPath("pool_d.frsh");
+  std::remove(ckpt_1.c_str());
+  std::remove(ckpt_d.c_str());
+  RefineLoopOptions options_1 = SmallLoopOptions();
+  options_1.checkpoint_path = ckpt_1;
+  options_1.reseed.num_threads = 1;
+  RefineLoopOptions options_d = options_1;
+  options_d.checkpoint_path = ckpt_d;
+  options_d.reseed.num_threads = 0;  // ThreadPool::DefaultThreadCount()
+  ModelServer server_1(CenterIndex::Build(InitialCenters()));
+  ModelServer server_d(CenterIndex::Build(InitialCenters()));
+  RefineLoop loop_1(&server_1, &live_1, options_1);
+  RefineLoop loop_d(&server_d, &live_d, options_d);
+
+  int64_t appended = 0;
+  for (int cycle = 1; cycle <= 7; ++cycle) {
+    const std::string what = "cycle " + std::to_string(cycle);
+    const int64_t rows = cycle == 1 ? 24 : 16;
+    AppendRows(&live_1, appended, rows);
+    AppendRows(&live_d, appended, rows);
+    ASSERT_TRUE(live_1.Seal().ok());
+    ASSERT_TRUE(live_d.Seal().ok());
+    appended += rows;
+    if (cycle == 4) {  // force a re-seed on both
+      ASSERT_TRUE(server_1.Publish(CenterIndex::Build(FarCenters())).ok());
+      ASSERT_TRUE(server_d.Publish(CenterIndex::Build(FarCenters())).ok());
+    }
+    ASSERT_TRUE(loop_1.RunOnce().ok()) << what;
+    ASSERT_TRUE(loop_d.RunOnce().ok()) << what;
+    ExpectSameStats(loop_d.stats(), loop_1.stats(), what);
+    ExpectBitwiseEqual(ServedCenters(server_d), ServedCenters(server_1),
+                       what + " centers");
+    EXPECT_EQ(loop_d.cost_history(), loop_1.cost_history()) << what;
+    EXPECT_EQ(ReadBytes(ckpt_d), ReadBytes(ckpt_1)) << what;
+  }
+  EXPECT_EQ(loop_1.stats().reseeds, 1);
+  std::remove(ckpt_1.c_str());
+  std::remove(ckpt_d.c_str());
 }
 
 TEST(ServerRegistryFreshnessTest, TenantExposesStalenessAndLoopBinding) {

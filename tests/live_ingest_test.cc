@@ -37,6 +37,7 @@
 #include "data/oplog.h"
 #include "matrix/dataset_view.h"
 #include "rng/rng.h"
+#include "test_paths.h"
 
 namespace kmeansll {
 namespace {
@@ -62,7 +63,7 @@ struct FaultGuard {
 };
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "kmll_live_" + name;
+  return ScratchPath("kmll_live_" + name);
 }
 
 /// Removes every file a LiveDataset rooted at `base` can leave behind,

@@ -19,6 +19,7 @@
 #include "data/record_io.h"
 #include "matrix/matrix.h"
 #include "rng/rng.h"
+#include "test_paths.h"
 
 namespace kmeansll {
 namespace {
@@ -40,7 +41,7 @@ Matrix RandomCenters(int64_t k, int64_t d, uint64_t seed) {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ScratchPath(name);
 }
 
 std::string ReadFileBytes(const std::string& path) {

@@ -24,6 +24,7 @@
 #include "serving/center_index.h"
 #include "serving/model_server.h"
 #include "parallel/thread_pool.h"
+#include "test_paths.h"
 
 namespace kmeansll {
 namespace {
@@ -407,7 +408,7 @@ TEST(PrunedIndexTest, FallbackBelowMinPruneK) {
 }
 
 TEST(PrunedIndexTest, FromModelReusesValidatedNormsBitwise) {
-  const std::string path = ::testing::TempDir() + "/pruned_artifact.bin";
+  const std::string path = ScratchPath("pruned_artifact.bin");
   Matrix centers = ClusteredMatrix(48, 48, 5, 13);
   data::ModelMetadata md;
   md.init_method = "k-means||";
@@ -450,7 +451,7 @@ TEST(PrunedIndexTest, RefineAndPublishCarryPruningOptions) {
   EXPECT_TRUE(refined->pruned());
 
   // PublishFromFile: a file-published artifact inherits them too.
-  const std::string path = ::testing::TempDir() + "/pruned_publish.bin";
+  const std::string path = ScratchPath("pruned_publish.bin");
   data::ModelMetadata md;
   const data::ModelArtifact artifact =
       data::MakeModelArtifact(ClusteredMatrix(56, 32, 5, 9), md);

@@ -48,6 +48,7 @@
 #include "serving/center_index.h"
 #include "serving/freshness.h"
 #include "serving/model_server.h"
+#include "test_paths.h"
 
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
@@ -124,7 +125,7 @@ constexpr size_t kAllocationSlack = 64 * 1024;
 constexpr unsigned kHangSeconds = 300;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "kmll_fuzz_" + name;
+  return ScratchPath("kmll_fuzz_" + name);
 }
 
 std::string ReadFile(const std::string& path) {
@@ -206,6 +207,12 @@ void LoadMutant(const Target& target, const std::string& bytes,
 
 void Fuzz(const Target& target) {
   ASSERT_GE(target.valid.size(), 2u);
+  for (const std::string& valid : target.valid) {
+    // Mutants pick offsets modulo the size: an artifact that read back
+    // empty (a wrong path) has none to pick.
+    ASSERT_FALSE(valid.empty())
+        << target.name << ": a valid artifact read back empty";
+  }
   alarm(kHangSeconds);
   std::mt19937_64 rng(data::HashBytes(target.name.data(), target.name.size()));
   auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
@@ -327,7 +334,7 @@ TEST(RecordFuzzTest, KmllDataShardAndShrdManifest) {
   ASSERT_TRUE(written.ok()) << written.status();
   const std::string manifest_bytes = ReadFile(manifest);
   const std::string shard_path =
-      ::testing::TempDir() + written->shards[1].file;
+      ShardFilePath(manifest, written->shards[1].file);
   const std::string shard_bytes = ReadFile(shard_path);
 
   auto open_and_scan = [&manifest](size_t) {
@@ -360,8 +367,8 @@ TEST(RecordFuzzTest, KmllDataShardAndShrdManifest) {
   Target shard;
   shard.name = "KMLLDATA shard";
   shard.path = shard_path;
-  shard.valid = {shard_bytes, ReadFile(::testing::TempDir() +
-                                       written->shards[0].file)};
+  shard.valid = {shard_bytes,
+                 ReadFile(ShardFilePath(manifest, written->shards[0].file))};
   shard.fields = {{8, 4}, {12, 8}, {20, 8}, {28, 4}};
   shard.crc = Crc::kTrailer;
   shard.load = open_and_scan;

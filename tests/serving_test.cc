@@ -29,6 +29,7 @@
 #include "serving/center_index.h"
 #include "serving/model_server.h"
 #include "serving/server_registry.h"
+#include "test_paths.h"
 
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
@@ -156,7 +157,7 @@ TEST(CenterIndexTest, AssignTopMMatchesSortedReference) {
 TEST(CenterIndexTest, FromModelServesLikeBuild) {
   Matrix centers = RandomMatrix(7, 40, 77, 2.0);
   Dataset data(RandomMatrix(120, 40, 88, 2.0));
-  const std::string path = ::testing::TempDir() + "/serving_model.kmm";
+  const std::string path = ScratchPath("serving_model.kmm");
 
   data::ModelMetadata md;
   md.init_method = "k-means||";
@@ -497,7 +498,7 @@ TEST(ModelServerTest, PublishFromFileSwapsValidArtifact) {
   Matrix centers_b = RandomMatrix(7, d, 1919, 2.0);
   ModelServer server(CenterIndex::Build(centers_a, /*version=*/4));
 
-  const std::string path = ::testing::TempDir() + "/publish_ok.kmm";
+  const std::string path = ScratchPath("publish_ok.kmm");
   ASSERT_TRUE(data::SaveModel(
                   data::MakeModelArtifact(centers_b, data::ModelMetadata{}),
                   path)
@@ -517,7 +518,7 @@ TEST(ModelServerTest, CorruptArtifactNeverTearsTheServedSnapshot) {
   ModelServer server(CenterIndex::Build(centers_a, /*version=*/4));
   Assignment expected = server.Acquire()->AssignBatch(probes);
 
-  const std::string path = ::testing::TempDir() + "/publish_torn.kmm";
+  const std::string path = ScratchPath("publish_torn.kmm");
   ASSERT_TRUE(data::SaveModel(
                   data::MakeModelArtifact(centers_b, data::ModelMetadata{}),
                   path)
@@ -547,7 +548,7 @@ TEST(ModelServerTest, CorruptArtifactNeverTearsTheServedSnapshot) {
 
   // A dimension-mismatched (but internally valid) artifact is refused
   // by Publish itself.
-  const std::string mismatched = ::testing::TempDir() + "/publish_dim.kmm";
+  const std::string mismatched = ScratchPath("publish_dim.kmm");
   ASSERT_TRUE(data::SaveModel(data::MakeModelArtifact(
                                   RandomMatrix(3, d + 2, 2323, 2.0),
                                   data::ModelMetadata{}),

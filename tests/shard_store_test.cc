@@ -39,6 +39,7 @@
 #include "parallel/thread_pool.h"
 #include "rng/rng.h"
 #include "rng/splitmix64.h"
+#include "test_paths.h"
 
 namespace kmeansll {
 namespace {
@@ -62,7 +63,7 @@ std::string ScratchPrefix() {
 }
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + ScratchPrefix() + name;
+  return ScratchPath(ScratchPrefix() + name);
 }
 
 /// Deletes this process's scratch files (manifests and their shards)
@@ -156,7 +157,7 @@ TEST(ShardFormatTest, ShardsLoadStandaloneAndConcatenateToOriginal) {
 
   int64_t row = 0;
   for (const auto& info : written->shards) {
-    auto shard = data::ReadBinary(::testing::TempDir() + info.file);
+    auto shard = data::ReadBinary(ShardFilePath(manifest, info.file));
     ASSERT_TRUE(shard.ok()) << shard.status().ToString();
     ASSERT_EQ(shard->n(), info.rows);
     ASSERT_EQ(shard->dim(), data.dim());
@@ -287,7 +288,7 @@ TEST(ShardFormatTest, ShardWithTrailingBytesFailsAtOpen) {
       WriteShards(data, manifest, ShardWriteOptions{.num_shards = 3});
   ASSERT_TRUE(written.ok());
   ASSERT_TRUE(ShardedDataset::Open(manifest).ok());
-  AppendByte(::testing::TempDir() + written->shards[1].file);
+  AppendByte(ShardFilePath(manifest, written->shards[1].file));
   auto opened = ShardedDataset::Open(manifest);
   EXPECT_FALSE(opened.ok());
   EXPECT_TRUE(opened.status().IsInvalidArgument())
@@ -301,7 +302,7 @@ TEST(ShardFormatTest, CorruptShardMagicFailsAtOpen) {
       WriteShards(data, manifest, ShardWriteOptions{.num_shards = 2});
   ASSERT_TRUE(written.ok());
   {
-    std::fstream f(::testing::TempDir() + written->shards[1].file,
+    std::fstream f(ShardFilePath(manifest, written->shards[1].file),
                    std::ios::binary | std::ios::in | std::ios::out);
     f.write("NOTADATA", 8);
   }
@@ -318,7 +319,7 @@ TEST(ShardFormatTest, TruncatedShardFailsAtOpen) {
       WriteShards(data, manifest, ShardWriteOptions{.num_shards = 3});
   ASSERT_TRUE(written.ok());
   // Short read: the header promises 20 rows but the file ends mid-points.
-  std::string shard_path = ::testing::TempDir() + written->shards[2].file;
+  std::string shard_path = ShardFilePath(manifest, written->shards[2].file);
   std::ifstream in(shard_path, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
@@ -339,7 +340,7 @@ TEST(ShardFormatTest, ShardHeaderMismatchFails) {
   ASSERT_TRUE(written.ok());
   // Replace shard 0 with a file whose header shape disagrees.
   ASSERT_TRUE(data::WriteBinary(
-                  b, ::testing::TempDir() + written->shards[0].file)
+                  b, ShardFilePath(manifest, written->shards[0].file))
                   .ok());
   EXPECT_FALSE(ShardedDataset::Open(manifest).ok());
 }
@@ -367,7 +368,7 @@ TEST(ShardFormatTest, OverflowingShardShapeFailsAtOpen) {
     out.write(shard.data(), len);
   }
   {
-    std::ofstream out(::testing::TempDir() + shard,
+    std::ofstream out(ShardFilePath(manifest, shard),
                       std::ios::binary | std::ios::trunc);
     const int32_t version = 2;
     const uint32_t flags = 1u << 2, crc = 0;
@@ -392,7 +393,7 @@ TEST(ShardFormatTest, PayloadBitRotDegradesAtFirstMap) {
   // Flip one payload byte in shard 1: the header stays plausible, so
   // Open (which only validates manifests and headers) succeeds — the
   // shard's trailing CRC catches the rot at first map.
-  std::string shard_path = ::testing::TempDir() + written->shards[1].file;
+  std::string shard_path = ShardFilePath(manifest, written->shards[1].file);
   {
     FILE* f = fopen(shard_path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
@@ -766,7 +767,7 @@ TEST(ShardWriterTest, StreamedAppendRoundTripsBitwise) {
     }
   });
   auto standalone =
-      data::ReadBinary(::testing::TempDir() + finalized->shards[1].file);
+      data::ReadBinary(ShardFilePath(manifest, finalized->shards[1].file));
   ASSERT_TRUE(standalone.ok());
   EXPECT_EQ(standalone->n(), 40);
   EXPECT_EQ(standalone->Point(0)[0], data.Point(40)[0]);
