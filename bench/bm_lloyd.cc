@@ -1,16 +1,17 @@
 // Micro-benchmarks of Lloyd's iteration and mini-batch refinement: cost
-// per pass, scaling in k, and the mini-batch-vs-full-batch trade
-// (Sculley extension).
+// per pass, scaling in k and in pool workers, and the
+// mini-batch-vs-full-batch trade (Sculley extension).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "clustering/init_random.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
-#include "clustering/lloyd_hamerly.h"
 #include "clustering/minibatch.h"
 #include "common/macros.h"
 #include "data/synthetic.h"
+#include "parallel/thread_pool.h"
 #include "rng/rng.h"
 
 namespace kmeansll {
@@ -49,52 +50,34 @@ BENCHMARK(BM_LloydStep)
     ->Arg(500)
     ->Unit(benchmark::kMillisecond);
 
+// Ten iterations at k = range(0) on a pool of range(1) workers (0 runs
+// sequentially); the pool is built outside the timed loop. A pooled run
+// must reproduce the sequential run's centers and cost bit for bit, so
+// the smoke run under ctest also checks the pool-size contract.
 void BM_LloydTenIterations(benchmark::State& state) {
   const int64_t k = state.range(0);
+  const int threads = static_cast<int>(state.range(1));
   Matrix centers = Seed(k);
   LloydOptions options;
   options.max_iterations = 10;
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 0) {
+    pool = std::make_unique<ThreadPool>(threads);
+    auto sequential = RunLloyd(BenchData(), centers, options);
+    auto pooled = RunLloyd(BenchData(), centers, options, pool.get());
+    KMEANSLL_CHECK(sequential.ok() && pooled.ok());
+    KMEANSLL_CHECK(pooled->centers == sequential->centers);
+    KMEANSLL_CHECK(pooled->assignment.cost == sequential->assignment.cost);
+  }
   for (auto _ : state) {
-    auto result = RunLloyd(BenchData(), centers, options);
+    auto result = RunLloyd(BenchData(), centers, options, pool.get());
     benchmark::DoNotOptimize(result.ok());
   }
 }
 BENCHMARK(BM_LloydTenIterations)
-    ->Arg(20)
-    ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
-// Ablation: Elkan-accelerated Lloyd.
-void BM_LloydElkanTenIterations(benchmark::State& state) {
-  const int64_t k = state.range(0);
-  Matrix centers = Seed(k);
-  LloydOptions options;
-  options.max_iterations = 10;
-  for (auto _ : state) {
-    auto result = RunLloydElkan(BenchData(), centers, options);
-    benchmark::DoNotOptimize(result.ok());
-  }
-}
-BENCHMARK(BM_LloydElkanTenIterations)
-    ->Arg(20)
-    ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
-// Ablation: Hamerly-accelerated Lloyd vs the standard iteration (same
-// results; the win grows with k as bounds prune the k-scan).
-void BM_LloydHamerlyTenIterations(benchmark::State& state) {
-  const int64_t k = state.range(0);
-  Matrix centers = Seed(k);
-  LloydOptions options;
-  options.max_iterations = 10;
-  for (auto _ : state) {
-    auto result = RunLloydHamerly(BenchData(), centers, options);
-    benchmark::DoNotOptimize(result.ok());
-  }
-}
-BENCHMARK(BM_LloydHamerlyTenIterations)
-    ->Arg(20)
-    ->Arg(100)
+    ->ArgsProduct({{20, 100}, {0, 3}})
+    ->ArgNames({"k", "threads"})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_MiniBatchHundredIterations(benchmark::State& state) {

@@ -86,8 +86,8 @@ Result<LloydResult> RunLloyd(const Dataset& data,
                              ThreadPool* pool = nullptr,
                              const double* point_norms = nullptr);
 
-/// One assignment + centroid-update step (exposed for tests and for the
-/// MapReduce driver): given centers, produces the new centroids and the
+/// One assignment + centroid-update step of RunLloyd (exposed for tests
+/// and benchmarks): given centers, produces the new centroids and the
 /// assignment that generated them. Returns the number of empty clusters
 /// repaired. `point_norms` (RowSquaredNorms of data.points(), length n)
 /// may be null; RunLloyd computes it once per run and threads it through

@@ -7,8 +7,8 @@
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/logging.h"
-#include "common/math_util.h"
 #include "data/checkpoint_io.h"
+#include "distance/batch.h"
 #include "distance/nearest.h"
 #include "parallel/parallel_for.h"
 #include "rng/rng.h"
@@ -116,31 +116,6 @@ void RepairEmptyClusters(const DatasetSource& data,
     double* row = new_centers->Row(c);
     for (int64_t j = 0; j < data.dim(); ++j) row[j] = point[j];
   }
-}
-
-double AssignmentCost(const DatasetSource& data, const Matrix& centers,
-                      const std::vector<int32_t>& assignment,
-                      const double* point_norms,
-                      const double* center_norms, bool expanded) {
-  const int64_t d = centers.cols();
-  std::vector<IndexRange> chunks =
-      MakeChunks(data.n(), kDeterministicChunks);
-  KahanSum total;
-  for (const IndexRange& r : chunks) {
-    KahanSum partial;
-    ForEachBlock(data, r.begin, r.end, [&](const DatasetView& v) {
-      for (int64_t i = 0; i < v.rows(); ++i) {
-        const int64_t g = v.first_row() + i;
-        auto c = static_cast<int64_t>(assignment[static_cast<size_t>(g)]);
-        double d2 = PairDistance2(
-            v.Point(i), expanded ? point_norms[g] : 0.0, centers.Row(c),
-            expanded ? center_norms[c] : 0.0, d, expanded);
-        partial.Add(v.Weight(i) * d2);
-      }
-    });
-    total.Merge(partial);
-  }
-  return total.Total();
 }
 
 LloydCheckpointPlan MakeLloydCheckpointPlan(const DatasetSource& data,

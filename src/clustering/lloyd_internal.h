@@ -1,11 +1,11 @@
-// Shared machinery of the Lloyd variants (standard / Hamerly / Elkan).
+// Pieces of Lloyd's iteration that live outside its loop: the centroid
+// accumulation, the empty-cluster repair, the point-norm bootstrap and
+// the checkpoint/resume plumbing.
 //
-// The three iterations must stay bitwise-interchangeable: same centroid
-// accumulation chain (fixed kDeterministicChunks replication, partials
-// combined in chunk order), same empty-cluster repair policy, same
-// distance arithmetic (the batch engine's — see distance/batch.h). This
-// header holds the pieces they share so the equivalence is enforced by
-// construction instead of by three hand-synchronized copies.
+// RunLloyd (clustering/lloyd.cc) uses all of them. MRRunLloyd
+// (clustering/mapreduce_kmeans.cc) accumulates its centroids in its own
+// job but repairs empty clusters through RepairEmptyClusters, so both
+// drivers reseed an empty cluster from the same point.
 
 #ifndef KMEANSLL_CLUSTERING_LLOYD_INTERNAL_H_
 #define KMEANSLL_CLUSTERING_LLOYD_INTERNAL_H_
@@ -16,8 +16,6 @@
 
 #include "clustering/lloyd.h"
 #include "common/result.h"
-#include "distance/batch.h"
-#include "distance/l2.h"
 #include "matrix/dataset.h"
 #include "matrix/dataset_view.h"
 #include "matrix/matrix.h"
@@ -26,28 +24,12 @@
 namespace kmeansll {
 namespace internal {
 
-/// One exact squared distance with the engine's accumulation chain:
-/// the expanded (clamped) formulation when `expanded`, else the plain
-/// chain. This is what the accelerated variants' bound-tightening probes
-/// use so a probed distance is bitwise the value a batched scan would
-/// have produced for the same pair. Norms must come from
-/// SquaredNorm/RowSquaredNorms (ignored for the plain chain).
-inline double PairDistance2(const double* x, double x_norm2,
-                            const double* c, double c_norm2, int64_t d,
-                            bool expanded) {
-  if (expanded) {
-    return SquaredL2Expanded(x_norm2, c_norm2, PairDotProduct(x, c, d));
-  }
-  return PairSquaredL2(x, c, d);
-}
-
 /// Resolves the engine's kAuto kernel for `data` into *expanded and
 /// ensures point norms exist when the expanded kernel will run: returns
 /// `provided` when non-null, else fills `storage` with
 /// RowSquaredNorms(data.points(), pool) and returns its data. Returns
 /// null under the plain kernel (the kernels never read norms there).
-/// One definition of the bootstrap every Lloyd runner shares, so the
-/// crossover rule cannot drift from the engine's dispatch.
+/// The kernel choice is the engine's own ResolveExpandedKernel rule.
 const double* EnsurePointNorms(const DatasetSource& data,
                                const double* provided,
                                std::vector<double>* storage,
@@ -75,7 +57,7 @@ std::vector<int64_t> CentroidsFromSums(const CentroidSums& totals,
                                        int64_t k, int64_t d,
                                        Matrix* new_centers);
 
-/// The deterministic empty-cluster repair shared by every variant: each
+/// The deterministic empty-cluster repair of both Lloyd drivers: each
 /// empty cluster receives the point with the largest current (weighted)
 /// cost contribution under `old_centers`, claiming indices in order of
 /// decreasing contribution (ties by ascending point index) so no point
@@ -87,22 +69,9 @@ void RepairEmptyClusters(const DatasetSource& data,
                          Matrix* new_centers, ThreadPool* pool = nullptr,
                          const double* point_norms = nullptr);
 
-/// Weighted cost Σ_x w_x · d²(x, c_{assignment(x)}) replicating
-/// ComputeAssignment's reduction bitwise: per-pair engine chains, Kahan
-/// partials over the fixed chunk grid, merged in chunk order. When
-/// `assignment` maps every point to its engine-argmin center this equals
-/// ComputeAssignment(...).cost exactly; the accelerated variants use it
-/// to keep their cost history bitwise-aligned with standard Lloyd's.
-/// `expanded` selects the chain (pass the search's kernel choice);
-/// point/center norms are only read when expanded.
-double AssignmentCost(const DatasetSource& data, const Matrix& centers,
-                      const std::vector<int32_t>& assignment,
-                      const double* point_norms,
-                      const double* center_norms, bool expanded);
-
-/// Checkpoint/resume plumbing shared by the three Lloyd runners (see
-/// data/checkpoint_io.h for the artifact and docs/ARCHITECTURE.md
-/// "Fault tolerance" for the protocol).
+/// RunLloyd's checkpoint/resume plumbing (see data/checkpoint_io.h for
+/// the artifact and docs/ARCHITECTURE.md "Fault tolerance" for the
+/// protocol).
 struct LloydCheckpointPlan {
   bool enabled = false;
   std::string path;
@@ -112,9 +81,8 @@ struct LloydCheckpointPlan {
 
 /// Builds the plan from the options (enabled iff checkpoint_path is
 /// non-empty). The fingerprint binds a checkpoint to the job — n, d, the
-/// exact initial-center bytes, and the convergence knobs — but NOT to
-/// the Lloyd variant: all variants walk the same center trajectory, so a
-/// checkpoint written by one resumes under any other.
+/// exact initial-center bytes, and the convergence knobs — but not to
+/// the pool size, which never changes the trajectory.
 LloydCheckpointPlan MakeLloydCheckpointPlan(const DatasetSource& data,
                                             const Matrix& initial_centers,
                                             const LloydOptions& options);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "clustering/lloyd_internal.h"
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/timer.h"
@@ -766,38 +767,15 @@ Result<LloydResult> MRRunLloyd(const DatasetSource& data,
         row[j] = out.centroid[static_cast<size_t>(j)];
       }
     }
-    // Empty-cluster repair, same deterministic policy as LloydStep.
+    // Empty-cluster repair: the function LloydStep calls.
     std::vector<int64_t> empty;
     for (int64_t c = 0; c < k; ++c) {
       if (!seen[static_cast<size_t>(c)]) empty.push_back(c);
     }
     if (!empty.empty()) {
       result.empty_cluster_repairs += static_cast<int64_t>(empty.size());
-      std::vector<double> repair_d2;
-      search.FindAll(data, /*out_index=*/nullptr, &repair_d2, ctx.pool);
-      std::vector<std::pair<double, int64_t>> contributions;
-      contributions.reserve(static_cast<size_t>(data.n()));
-      ForEachBlock(data, 0, data.n(), [&](const DatasetView& v) {
-        for (int64_t b = 0; b < v.rows(); ++b) {
-          const int64_t i = v.first_row() + b;
-          contributions.emplace_back(
-              v.Weight(b) * repair_d2[static_cast<size_t>(i)], i);
-        }
-      });
-      std::sort(contributions.begin(), contributions.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-      size_t next = 0;
-      for (int64_t c : empty) {
-        const int64_t source_row = contributions[next].second;
-        ++next;
-        PinnedBlock pin = data.Pin(source_row, source_row + 1);
-        const double* point = pin.view().Point(0);
-        double* row = new_centers.Row(c);
-        for (int64_t j = 0; j < d; ++j) row[j] = point[j];
-      }
+      internal::RepairEmptyClusters(data, result.centers, empty,
+                                    &new_centers, ctx.pool);
     }
 
     bool assignments_unchanged =

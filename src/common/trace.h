@@ -19,7 +19,7 @@
 // to its own buffers; it never touches data values, iteration order, or
 // scheduling decisions, so centers/assignments/cost histories are
 // bitwise identical with tracing on, off, or compiled out
-// (tests/trace_test.cc asserts this over seeding + all Lloyd variants).
+// (tests/trace_test.cc asserts this over seeding + Lloyd).
 //
 // Compile-out: building with -DKMEANSLL_TRACING=OFF (CMake option)
 // defines KMEANSLL_TRACING=0 and KMEANSLL_TRACE_SPAN expands to nothing

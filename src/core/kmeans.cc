@@ -91,10 +91,7 @@ Status ValidateConfig(const KMeansConfig& config,
   if (config.num_runs < 1) {
     return Status::InvalidArgument("num_runs must be >= 1");
   }
-  if (config.validate_data) {
-    KMEANSLL_RETURN_NOT_OK(ValidateFiniteSource(data));
-  }
-  return Status::OK();
+  return ValidateFiniteSource(data);
 }
 
 }  // namespace
@@ -217,21 +214,9 @@ Result<KMeansReport> KMeans::Fit(const DatasetSource& data) const {
       report.lloyd_iterations = lloyd.iterations;
       report.lloyd_converged = lloyd.converged;
     } else {
-      Result<LloydResult> run = [&]() -> Result<LloydResult> {
-        switch (config_.lloyd_variant) {
-          case KMeansConfig::LloydVariant::kHamerly:
-            return RunLloydHamerly(data, init.centers, config_.lloyd,
-                                   /*stats=*/nullptr, point_norms);
-          case KMeansConfig::LloydVariant::kElkan:
-            return RunLloydElkan(data, init.centers, config_.lloyd,
-                                 /*stats=*/nullptr, point_norms);
-          case KMeansConfig::LloydVariant::kStandard:
-            break;
-        }
-        return RunLloyd(data, init.centers, config_.lloyd, pool_.get(),
-                        point_norms);
-      }();
-      KMEANSLL_ASSIGN_OR_RETURN(LloydResult lloyd, std::move(run));
+      KMEANSLL_ASSIGN_OR_RETURN(
+          LloydResult lloyd, RunLloyd(data, init.centers, config_.lloyd,
+                                      pool_.get(), point_norms));
       report.centers = std::move(lloyd.centers);
       report.assignment = std::move(lloyd.assignment);
       report.lloyd_iterations = lloyd.iterations;

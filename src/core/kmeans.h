@@ -28,8 +28,6 @@
 #include "clustering/init_partition.h"
 #include "clustering/init_random.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
-#include "clustering/lloyd_hamerly.h"
 #include "clustering/mapreduce_kmeans.h"
 #include "clustering/types.h"
 #include "common/result.h"
@@ -68,19 +66,6 @@ struct KMeansConfig {
   /// best-of-R restarts, run 0 uses `seed` itself so num_runs = 1 is the
   /// plain pipeline).
   int64_t num_runs = 1;
-
-  /// Lloyd implementation for the sequential path (the MapReduce path
-  /// always runs the standard per-job iteration). All variants produce
-  /// identical centers; the accelerated ones skip distance work via
-  /// triangle-inequality bounds (Hamerly: O(n) extra memory; Elkan:
-  /// O(n·k), strongest pruning).
-  enum class LloydVariant { kStandard, kHamerly, kElkan };
-  LloydVariant lloyd_variant = LloydVariant::kStandard;
-
-  /// Reject datasets containing NaN/Inf coordinates up front (one O(n·d)
-  /// scan per Fit). Disable only for trusted pipelines where the scan
-  /// matters.
-  bool validate_data = true;
 
   /// Worker threads for the data-parallel paths (0 = sequential).
   int num_threads = 0;
@@ -146,7 +131,8 @@ class KMeans {
   KMEANSLL_DISALLOW_COPY_AND_ASSIGN(KMeans);
 
   /// Runs initialization + Lloyd on `data`. Fails on invalid
-  /// configuration or data (empty, k > n, dimension mismatch...).
+  /// configuration or data (empty, k > n, dimension mismatch, a NaN or
+  /// infinite coordinate — one O(n·d) scan per Fit...).
   Result<KMeansReport> Fit(const Dataset& data) const;
 
   /// Out-of-core Fit: the same pipeline over a DatasetSource (e.g. a

@@ -18,8 +18,8 @@
 // are the bytes the in-memory dataset held, so every consumer of the
 // storage layer produces bitwise-identical results over a ShardedDataset
 // and over the original Dataset (tests/shard_store_test.cc asserts this
-// for k-means||, k-means++, and all three Lloyd variants at pool sizes
-// null/1/4 with a window smaller than the data).
+// for k-means||, k-means++, and Lloyd at pool sizes null/1/4 with a
+// window smaller than the data).
 
 #ifndef KMEANSLL_DATA_SHARD_STORE_H_
 #define KMEANSLL_DATA_SHARD_STORE_H_

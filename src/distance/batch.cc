@@ -835,44 +835,6 @@ void BatchNearestMerge(ConstMatrixView points, IndexRange rows,
                     kernel, best_d2, best_index);
 }
 
-void BatchTwoNearest(ConstMatrixView points, IndexRange rows,
-                     const double* point_norms, const CenterPanels& panels,
-                     const double* center_norms, BatchKernel kernel,
-                     int32_t* out_index, double* out_d1, double* out_d2) {
-  const int64_t n = rows.size();
-  for (int64_t i = 0; i < n; ++i) {
-    out_index[i] = -1;
-    out_d1[i] = std::numeric_limits<double>::infinity();
-    out_d2[i] = std::numeric_limits<double>::infinity();
-  }
-  bool expanded = false;
-  if (!PrepareScan(points, rows, panels, center_norms, kernel, &expanded)) {
-    return;
-  }
-  std::vector<double> pn_storage;
-  point_norms =
-      EnsurePointNorms(points, rows, expanded, point_norms, &pn_storage);
-  const int64_t base = panels.first_center();
-  // Two-best update with the sequential scan's tie semantics: a later
-  // equal distance never displaces the best (strict <) but does take the
-  // second slot only if strictly smaller than the incumbent second.
-  PanelScan(points, rows, point_norms, panels, center_norms, expanded,
-            IndexRange{0, panels.num_centers()},
-            [&](int64_t p, int64_t c_off, int64_t count,
-                const double* d2v) {
-              for (int64_t j = 0; j < count; ++j) {
-                const double v = d2v[j];
-                if (v < out_d1[p]) {
-                  out_d2[p] = out_d1[p];
-                  out_d1[p] = v;
-                  out_index[p] = static_cast<int32_t>(base + c_off + j);
-                } else if (v < out_d2[p]) {
-                  out_d2[p] = v;
-                }
-              }
-            });
-}
-
 void BatchTopM(ConstMatrixView points, IndexRange rows,
                const double* point_norms, const CenterPanels& panels,
                const double* center_norms, BatchKernel kernel, int64_t m,

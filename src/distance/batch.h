@@ -1,15 +1,15 @@
 // Blocked batch-distance engine: the shared O(n·k·d) kernel layer.
 //
 // Every hot path in the library — k-means|| round updates, k-means++
-// seeding, Lloyd assignment (standard, Hamerly, and Elkan), cost
-// evaluation, minibatch, streaming compression, and the MapReduce map
-// phases — reduces to the same scan: "for a block of points and a block
-// of centers, compute each point's distances and reduce them". This
-// header provides that scan once, tiled for cache reuse and
-// register-blocked for ILP, instead of the one-point × one-center loops
-// each call site used to carry. Three reductions share one loop nest and
-// one set of micro-kernels: nearest (argmin merge), two-nearest (for the
-// Hamerly bound), and store-all (for the Elkan bound matrix).
+// seeding, Lloyd assignment, cost evaluation, minibatch, streaming
+// compression, the MapReduce map phases and serving — reduces to the
+// same scan: "for a block of points and a block of centers, compute each
+// point's distances and reduce them". This header provides that scan
+// once, tiled for cache reuse and register-blocked for ILP, instead of
+// the one-point × one-center loops each call site used to carry. Three
+// reductions share one loop nest and one set of micro-kernels: nearest
+// (argmin merge), top-m (serving's AssignTopM), and store-all (the
+// pruned index's coarse-group scan).
 //
 // Design (see docs/ARCHITECTURE.md and README.md "Distance engine" for
 // the full rationale):
@@ -43,9 +43,9 @@
 // thread count — so parallel callers chunking by kDeterministicChunks get
 // bitwise-identical outputs at any parallelism. PairSquaredL2 and
 // PairDotProduct reproduce that per-pair chain (including the FMA
-// contraction of the AVX2 kernels) one pair at a time, so code that must
-// interleave single distances with batched scans — the accelerated Lloyd
-// variants — stays bitwise-consistent with the engine.
+// contraction of the AVX2 kernels) one pair at a time, so the scalar
+// reference search (NearestCenterSearch::Find) stays bitwise-consistent
+// with the engine.
 
 #ifndef KMEANSLL_DISTANCE_BATCH_H_
 #define KMEANSLL_DISTANCE_BATCH_H_
@@ -205,24 +205,6 @@ void BatchNearestMergeSubset(ConstMatrixView points, IndexRange rows,
                              IndexRange centers, double* best_d2,
                              int32_t* best_index);
 
-/// Fresh two-nearest scan over pre-packed panels: for every point row in
-/// [rows.begin, rows.end) writes the absolute index of the nearest packed
-/// center (out_index), its squared distance (out_d1), and the
-/// second-smallest squared distance over the packed centers (out_d2).
-/// Output arrays are range-relative and need no initialization. Centers
-/// are visited in ascending index order with strict-< updates, so exact
-/// ties resolve exactly like the sequential reference scan
-/// (lowest-index center wins; an equal later distance only ever lands in
-/// out_d2). With a single packed center, out_d2 is +infinity.
-///
-/// This is the Hamerly-bound primitive: d1 seeds the upper bound and d2
-/// the lower bound of the full-scan points. Same kernel/norm
-/// preconditions as the panels overload of BatchNearestMerge.
-void BatchTwoNearest(ConstMatrixView points, IndexRange rows,
-                     const double* point_norms, const CenterPanels& panels,
-                     const double* center_norms, BatchKernel kernel,
-                     int32_t* out_index, double* out_d1, double* out_d2);
-
 /// Small-m top-m merge over pre-packed panels: for every point row in
 /// [rows.begin, rows.end) writes its m nearest packed centers in
 /// ascending distance order — out_index[(i - rows.begin) · m + s] is the
@@ -262,9 +244,9 @@ void BatchTopMSubset(ConstMatrixView points, IndexRange rows,
 /// panels.num_centers() + c] = ||points row i − packed center c||² for
 /// every point row in the range and every packed center. The values are
 /// the engine's (expanded results clamped at zero), bitwise identical to
-/// what the merge entry points reduce over. This is the Elkan-bound
-/// primitive (per-(point, center) lower bounds, k×k center separations).
-/// Same kernel/norm preconditions as the panels overload of
+/// what the merge entry points reduce over. The pruned index
+/// (serving/center_index.h) bounds its groups with these coarse-center
+/// distances. Same kernel/norm preconditions as the panels overload of
 /// BatchNearestMerge.
 void BatchDistances(ConstMatrixView points, IndexRange rows,
                     const double* point_norms, const CenterPanels& panels,
@@ -277,8 +259,8 @@ void BatchDistances(ConstMatrixView points, IndexRange rows,
 /// dispatched. Bitwise identical to the plain batch kernels' per-pair
 /// values — unlike SquaredL2 (distance/l2.h), whose 4-way unrolled chains
 /// differ in final ulps. Use this (not SquaredL2) wherever a single
-/// distance must agree exactly with a batched scan, e.g. the
-/// bound-tightening probes of the accelerated Lloyd variants.
+/// distance must agree exactly with a batched scan, e.g. the scalar
+/// reference search NearestCenterSearch::Find.
 double PairSquaredL2(const double* a, const double* b, int64_t dim);
 
 /// Single-pair dot product with the engine's expanded-kernel chain (see
@@ -306,15 +288,6 @@ inline void BatchNearestMerge(const Matrix& points, IndexRange rows,
                               double* best_d2, int32_t* best_index) {
   BatchNearestMerge(points.view(), rows, point_norms, panels, center_norms,
                     kernel, best_d2, best_index);
-}
-inline void BatchTwoNearest(const Matrix& points, IndexRange rows,
-                            const double* point_norms,
-                            const CenterPanels& panels,
-                            const double* center_norms, BatchKernel kernel,
-                            int32_t* out_index, double* out_d1,
-                            double* out_d2) {
-  BatchTwoNearest(points.view(), rows, point_norms, panels, center_norms,
-                  kernel, out_index, out_d1, out_d2);
 }
 inline void BatchDistances(const Matrix& points, IndexRange rows,
                            const double* point_norms,

@@ -254,39 +254,6 @@ void NearestCenterSearch::FindAll(const DatasetSource& data,
   ParallelFor(pool, n, body, &schedule);
 }
 
-void NearestCenterSearch::FindTwoNearestRange(ConstMatrixView points,
-                                              IndexRange rows,
-                                              const double* point_norms,
-                                              int32_t* out_index,
-                                              double* out_d1,
-                                              double* out_d2) const {
-  KMEANSLL_DCHECK(centers_.rows() > 0);
-  if (frozen_) {
-    BatchTwoNearest(points, rows, point_norms, panels_,
-                    center_norms_or_null(), batch_kernel(), out_index,
-                    out_d1, out_d2);
-    return;
-  }
-  CenterPanels local;
-  local.Pack(centers_);
-  BatchTwoNearest(points, rows, point_norms, local, center_norms_or_null(),
-                  batch_kernel(), out_index, out_d1, out_d2);
-}
-
-void NearestCenterSearch::FindTwoNearestRange(const DatasetSource& data,
-                                              IndexRange rows,
-                                              const double* point_norms,
-                                              int32_t* out_index,
-                                              double* out_d1,
-                                              double* out_d2) const {
-  ForEachBlock(data, rows.begin, rows.end, [&](const DatasetView& v) {
-    const int64_t off = v.first_row() - rows.begin;
-    FindTwoNearestRange(v.points(), IndexRange{0, v.rows()},
-                        point_norms == nullptr ? nullptr : point_norms + off,
-                        out_index + off, out_d1 + off, out_d2 + off);
-  });
-}
-
 void NearestCenterSearch::FindTopMRange(ConstMatrixView points,
                                         IndexRange rows,
                                         const double* point_norms,
@@ -318,19 +285,6 @@ void NearestCenterSearch::DistancesRange(ConstMatrixView points,
   local.Pack(centers_);
   BatchDistances(points, rows, point_norms, local, center_norms_or_null(),
                  batch_kernel(), out_d2);
-}
-
-void NearestCenterSearch::DistancesRange(const DatasetSource& data,
-                                         IndexRange rows,
-                                         const double* point_norms,
-                                         double* out_d2) const {
-  const int64_t k = centers_.rows();
-  ForEachBlock(data, rows.begin, rows.end, [&](const DatasetView& v) {
-    const int64_t off = v.first_row() - rows.begin;
-    DistancesRange(v.points(), IndexRange{0, v.rows()},
-                   point_norms == nullptr ? nullptr : point_norms + off,
-                   out_d2 + off * k);
-  });
 }
 
 MinDistanceTracker::MinDistanceTracker(const Dataset& data, ThreadPool* pool)

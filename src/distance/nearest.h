@@ -2,14 +2,14 @@
 //
 // NearestCenterSearch answers "which center is closest to x, and at what
 // squared distance" for a frozen center set. The single-point Find is the
-// scalar reference path; FindRange/FindAll (and the two-nearest /
-// all-distances variants feeding the accelerated Lloyd bounds) route
-// whole blocks of points through the blocked batch engine
-// (distance/batch.h), which is what every O(n·k·d) consumer in the
-// library uses. Freeze() additionally caches the engine's packed center
-// panels inside the search, so repeated batch queries against the same
-// centers — chunked parallel passes, minibatch iterations, streaming
-// blocks — stop re-packing the panels per call.
+// scalar reference path; FindRange/FindAll (and the top-m and
+// all-distances queries serving uses) route whole blocks of points
+// through the blocked batch engine (distance/batch.h), which is what
+// every O(n·k·d) consumer in the library uses. Freeze() additionally
+// caches the engine's packed center panels inside the search, so
+// repeated batch queries against the same centers — chunked parallel
+// passes, minibatch iterations, streaming blocks — stop re-packing the
+// panels per call.
 //
 // MinDistanceTracker maintains d²(x, C) for every point x while C grows —
 // the data structure behind both k-means++ (Algorithm 1) and each round of
@@ -49,8 +49,8 @@ struct NearestResult {
 /// Determinism: the scalar Find path and every batched path evaluate
 /// distances with the engine's per-pair accumulation chains
 /// (PairSquaredL2 / PairDotProduct match the panel kernels bitwise), so
-/// Find, FindRange, FindAll, and the two-nearest/all-distances variants
-/// agree bitwise on values and argmin ties for the same kernel choice.
+/// Find, FindRange, FindAll, and the top-m/all-distances queries agree
+/// bitwise on values and argmin ties for the same kernel choice.
 class NearestCenterSearch {
  public:
   /// Kernel selection; kAuto picks expanded for
@@ -147,26 +147,6 @@ class NearestCenterSearch {
                std::vector<double>* out_d2, ThreadPool* pool = nullptr,
                const double* point_norms = nullptr) const;
 
-  /// Batched two-nearest (fresh scan): for rows [rows.begin, rows.end)
-  /// writes the nearest center's row (out_index), its squared distance
-  /// (out_d1), and the second-smallest squared distance (out_d2), all
-  /// range-relative and uninitialized on entry. Exact ties resolve like
-  /// the sequential ascending scan (lowest index wins; k = 1 leaves
-  /// out_d2 at +infinity). This feeds the Hamerly bounds.
-  void FindTwoNearestRange(ConstMatrixView points, IndexRange rows,
-                           const double* point_norms, int32_t* out_index,
-                           double* out_d1, double* out_d2) const;
-  void FindTwoNearestRange(const Matrix& points, IndexRange rows,
-                           const double* point_norms, int32_t* out_index,
-                           double* out_d1, double* out_d2) const {
-    FindTwoNearestRange(points.view(), rows, point_norms, out_index, out_d1,
-                        out_d2);
-  }
-  /// Source variant (global rows; outputs indexed i - rows.begin).
-  void FindTwoNearestRange(const DatasetSource& data, IndexRange rows,
-                           const double* point_norms, int32_t* out_index,
-                           double* out_d1, double* out_d2) const;
-
   /// Batched top-m (fresh scan): for rows [rows.begin, rows.end) writes
   /// each point's m nearest centers in ascending distance order —
   /// out_index[(i - rows.begin) · m + s] / out_d2[...] are the
@@ -185,25 +165,22 @@ class NearestCenterSearch {
 
   /// Batched dense distances: out_d2[(i - rows.begin) · k + c] =
   /// d²(points row i, center c) for every center, with the engine's
-  /// values (expanded results clamped at zero). This feeds the Elkan
-  /// bounds and the k × k center-separation table.
+  /// values (expanded results clamped at zero). This feeds the pruned
+  /// index's coarse-group bounds (serving/center_index.h).
   void DistancesRange(ConstMatrixView points, IndexRange rows,
                       const double* point_norms, double* out_d2) const;
   void DistancesRange(const Matrix& points, IndexRange rows,
                       const double* point_norms, double* out_d2) const {
     DistancesRange(points.view(), rows, point_norms, out_d2);
   }
-  /// Source variant (global rows; outputs indexed i - rows.begin).
-  void DistancesRange(const DatasetSource& data, IndexRange rows,
-                      const double* point_norms, double* out_d2) const;
 
   int64_t num_centers() const { return centers_.rows(); }
   bool uses_expanded_kernel() const { return use_expanded_; }
 
   /// The cached ||center||² row norms (empty under the plain kernel).
   /// Computed with RowSquaredNorms, so callers that need the same values
-  /// for scalar probes (the accelerated Lloyd variants) can share this
-  /// vector instead of recomputing it. Refreshed by Freeze().
+  /// (the pruned index's bounds) can share this vector instead of
+  /// recomputing it. Refreshed by Freeze().
   const std::vector<double>& center_norms() const { return center_norms_; }
 
  private:

@@ -6,7 +6,7 @@
 // label slices). An in-memory Dataset yields one view spanning all rows;
 // a disk-resident ShardedDataset (data/shard_store.h) yields one view per
 // memory-mapped shard. Everything downstream of the storage layer —
-// nearest-center scans, cost/assignment reductions, the Lloyd variants,
+// nearest-center scans, cost/assignment reductions, Lloyd's iteration,
 // the seeding passes, the MapReduce map tasks — consumes views, so the
 // same code path clusters data that fits in RAM and data that does not.
 //

@@ -21,8 +21,8 @@
 // per-group member radii R_j = max_{c in group j} ||c − coarse_j||. A
 // query computes its g ≈ √k coarse distances D_j, visits groups in
 // ascending lower-bound order lb_j = D_j − R_j, and skips every group
-// whose bound proves (triangle inequality, the same algebra as the Elkan
-// bounds in clustering/lloyd_elkan.cc) that no member can strictly beat
+// whose bound proves (triangle inequality, the same algebra as Elkan's
+// Lloyd bounds) that no member can strictly beat
 // the running best — so most groups never reach the engine, yet the
 // surviving ones go through the exact same frozen-panel scans
 // (BatchNearestMergeSubset / BatchTopMSubset).

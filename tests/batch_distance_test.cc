@@ -533,44 +533,7 @@ TEST(PanelCacheTest, RefreezeRevalidatesAfterCenterUpdate) {
   }
 }
 
-// --- Two-nearest and dense-distance scans --------------------------------
-
-TEST(BatchEngineTest, TwoNearestMatchesSequentialReference) {
-  for (const Shape& s : kShapes) {
-    Matrix points = RandomMatrix(s.n, s.d, 1200 + s.n, 4.0);
-    Matrix centers = RandomMatrix(s.k, s.d, 1300 + s.k, 4.0);
-    NearestCenterSearch search(centers);
-    search.Freeze();
-    std::vector<int32_t> idx(static_cast<size_t>(s.n));
-    std::vector<double> d1(static_cast<size_t>(s.n));
-    std::vector<double> d2(static_cast<size_t>(s.n));
-    search.FindTwoNearestRange(points, IndexRange{0, s.n}, nullptr,
-                               idx.data(), d1.data(), d2.data());
-    // Reference: dense distances reduced sequentially with the same tie
-    // semantics.
-    std::vector<double> dense(static_cast<size_t>(s.n * s.k));
-    search.DistancesRange(points, IndexRange{0, s.n}, nullptr,
-                          dense.data());
-    for (int64_t i = 0; i < s.n; ++i) {
-      int64_t best = -1;
-      double b1 = std::numeric_limits<double>::infinity();
-      double b2 = std::numeric_limits<double>::infinity();
-      for (int64_t c = 0; c < s.k; ++c) {
-        double v = dense[static_cast<size_t>(i * s.k + c)];
-        if (v < b1) {
-          b2 = b1;
-          b1 = v;
-          best = c;
-        } else if (v < b2) {
-          b2 = v;
-        }
-      }
-      EXPECT_EQ(idx[static_cast<size_t>(i)], best) << "point " << i;
-      EXPECT_EQ(d1[static_cast<size_t>(i)], b1) << "point " << i;
-      EXPECT_EQ(d2[static_cast<size_t>(i)], b2) << "point " << i;
-    }
-  }
-}
+// --- Dense-distance scans ------------------------------------------------
 
 TEST(BatchEngineTest, DistancesMatchScalarPairChains) {
   const int64_t n = 70, k = 21;
@@ -594,20 +557,6 @@ TEST(BatchEngineTest, DistancesMatchScalarPairChains) {
             << "i=" << i << " c=" << c << " d=" << d;  // bitwise
       }
     }
-  }
-}
-
-TEST(BatchEngineTest, TwoNearestSingleCenterLeavesSecondInfinite) {
-  Matrix centers = RandomMatrix(1, 12, 1600);
-  Matrix points = RandomMatrix(5, 12, 1700);
-  NearestCenterSearch search(centers);
-  std::vector<int32_t> idx(5);
-  std::vector<double> d1(5), d2(5);
-  search.FindTwoNearestRange(points, IndexRange{0, 5}, nullptr, idx.data(),
-                             d1.data(), d2.data());
-  for (int64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(idx[static_cast<size_t>(i)], 0);
-    EXPECT_TRUE(std::isinf(d2[static_cast<size_t>(i)]));
   }
 }
 

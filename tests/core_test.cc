@@ -247,25 +247,6 @@ TEST(KMeansTest, MultiRunValidation) {
   EXPECT_FALSE(KMeans(config).Fit(gauss.data).ok());
 }
 
-TEST(KMeansTest, AcceleratedLloydVariantsMatchStandard) {
-  auto gauss = MakeGauss(1200, 8, 171);
-  KMeansConfig config;
-  config.k = 8;
-  config.seed = 17;
-  config.lloyd.max_iterations = 40;
-  auto standard = KMeans(config).Fit(gauss.data);
-  ASSERT_TRUE(standard.ok());
-  for (auto variant : {KMeansConfig::LloydVariant::kHamerly,
-                       KMeansConfig::LloydVariant::kElkan}) {
-    config.lloyd_variant = variant;
-    auto accelerated = KMeans(config).Fit(gauss.data);
-    ASSERT_TRUE(accelerated.ok());
-    EXPECT_TRUE(accelerated->centers == standard->centers);
-    EXPECT_EQ(accelerated->lloyd_iterations, standard->lloyd_iterations);
-    EXPECT_EQ(accelerated->final_cost, standard->final_cost);
-  }
-}
-
 TEST(KMeansTest, MapReducePartitionAndRandomPaths) {
   auto gauss = MakeGauss(900, 6, 172);
   for (InitMethod init : {InitMethod::kRandom, InitMethod::kPartition}) {

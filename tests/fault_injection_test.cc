@@ -3,9 +3,9 @@
 //
 // The contracts under test (docs/ARCHITECTURE.md "Fault tolerance"):
 //   * Transient shard-map faults at a 10% rate are absorbed by the
-//     retry layer — every driver (cost scan, k-means|| seeding, all
-//     three Lloyd variants, at pool sizes null/1/4) stays BITWISE
-//     identical to its fault-free run.
+//     retry layer — every driver (cost scan, k-means|| seeding, Lloyd,
+//     at pool sizes null/1/4) stays BITWISE identical to its fault-free
+//     run.
 //   * An exhausted retry budget degrades to a clean Status at the
 //     driver's Result boundary: a bad shard fails the scan, never the
 //     process.
@@ -32,8 +32,6 @@
 #include "clustering/cost.h"
 #include "clustering/init_kmeansll.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
-#include "clustering/lloyd_hamerly.h"
 #include "clustering/mapreduce_kmeans.h"
 #include "common/fault_injection.h"
 #include "common/file_util.h"
@@ -245,7 +243,7 @@ TEST(FaultMatrixTest, SeedingBitwiseUnderTransientShardFaults) {
   }
 }
 
-TEST(FaultMatrixTest, LloydVariantsBitwiseUnderTransientShardFaults) {
+TEST(FaultMatrixTest, LloydBitwiseUnderTransientShardFaults) {
   FaultGuard guard;
   Dataset data = MakeData(240, 6);
   Matrix initial = MakeCenters(5, 6);
@@ -255,12 +253,7 @@ TEST(FaultMatrixTest, LloydVariantsBitwiseUnderTransientShardFaults) {
 
   auto std_baseline = RunLloyd(data, initial, options);
   ASSERT_TRUE(std_baseline.ok());
-  auto ham_baseline = RunLloydHamerly(data, initial, options);
-  ASSERT_TRUE(ham_baseline.ok());
-  auto elk_baseline = RunLloydElkan(data, initial, options);
-  ASSERT_TRUE(elk_baseline.ok());
 
-  // Standard Lloyd across pool sizes (the variant that takes a pool).
   for (int threads : {0, 1, 4}) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
@@ -271,22 +264,6 @@ TEST(FaultMatrixTest, LloydVariantsBitwiseUnderTransientShardFaults) {
     ExpectLloydBitwise(*got, *std_baseline,
                        "standard pool=" + std::to_string(threads));
     FaultInjector::Global().Reset();
-  }
-
-  {
-    ShardedDataset sharded = OpenSharded(data, "hamerly.kml", 6);
-    ArmTransientShardFaults();
-    auto got = RunLloydHamerly(sharded, initial, options);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectLloydBitwise(*got, *ham_baseline, "hamerly");
-    FaultInjector::Global().Reset();
-  }
-  {
-    ShardedDataset sharded = OpenSharded(data, "elkan.kml", 6);
-    ArmTransientShardFaults();
-    auto got = RunLloydElkan(sharded, initial, options);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ExpectLloydBitwise(*got, *elk_baseline, "elkan");
   }
 }
 
@@ -607,55 +584,31 @@ TEST(CheckpointResumeTest, LloydKillAfterCheckpointResumesBitwise) {
   baseline_options.max_iterations = 8;
   baseline_options.track_history = true;
 
-  struct Variant {
-    const char* name;
-    Result<LloydResult> (*run)(const Dataset&, const Matrix&,
-                               const LloydOptions&);
-  };
-  const Variant variants[] = {
-      {"standard",
-       [](const Dataset& d, const Matrix& c, const LloydOptions& o) {
-         return RunLloyd(d, c, o);
-       }},
-      {"hamerly",
-       [](const Dataset& d, const Matrix& c, const LloydOptions& o) {
-         return RunLloydHamerly(d, c, o);
-       }},
-      {"elkan",
-       [](const Dataset& d, const Matrix& c, const LloydOptions& o) {
-         return RunLloydElkan(d, c, o);
-       }},
-  };
+  auto baseline = RunLloyd(data, initial, baseline_options);
+  ASSERT_TRUE(baseline.ok());
+  ASSERT_GT(baseline->iterations, 4)
+      << "converged too early to exercise the kill point";
 
-  for (const Variant& v : variants) {
-    auto baseline = v.run(data, initial, baseline_options);
-    ASSERT_TRUE(baseline.ok()) << v.name;
-    ASSERT_GT(baseline->iterations, 4) << v.name
-        << ": converged too early to exercise the kill point";
+  LloydOptions ckpt_options = baseline_options;
+  ckpt_options.checkpoint_path = TempPath("lloyd_resume.ckpt");
+  ckpt_options.checkpoint_every = 2;
+  (void)RemoveFileIfExists(ckpt_options.checkpoint_path);
 
-    LloydOptions ckpt_options = baseline_options;
-    ckpt_options.checkpoint_path =
-        TempPath(std::string("lloyd_resume_") + v.name + ".ckpt");
-    ckpt_options.checkpoint_every = 2;
-    (void)RemoveFileIfExists(ckpt_options.checkpoint_path);
+  // Run 1: die right after the first durable checkpoint.
+  FaultInjector::Global().Arm(
+      "lloyd.kill",
+      FaultRule{.kind = FaultKind::kWriteFail, .nth_call = 1});
+  auto killed = RunLloyd(data, initial, ckpt_options);
+  EXPECT_FALSE(killed.ok());
+  EXPECT_TRUE(FileExists(ckpt_options.checkpoint_path));
+  FaultInjector::Global().Reset();
 
-    // Run 1: die right after the first durable checkpoint.
-    FaultInjector::Global().Arm(
-        "lloyd.kill",
-        FaultRule{.kind = FaultKind::kWriteFail, .nth_call = 1});
-    auto killed = v.run(data, initial, ckpt_options);
-    EXPECT_FALSE(killed.ok()) << v.name;
-    EXPECT_TRUE(FileExists(ckpt_options.checkpoint_path)) << v.name;
-    FaultInjector::Global().Reset();
-
-    // Run 2: resumes from the checkpoint and finishes; every observable
-    // matches the uninterrupted run bitwise, and the checkpoint is gone.
-    auto resumed = v.run(data, initial, ckpt_options);
-    ASSERT_TRUE(resumed.ok()) << v.name << ": "
-                              << resumed.status().ToString();
-    ExpectLloydBitwise(*resumed, *baseline, v.name);
-    EXPECT_FALSE(FileExists(ckpt_options.checkpoint_path)) << v.name;
-  }
+  // Run 2: resumes from the checkpoint and finishes; every observable
+  // matches the uninterrupted run bitwise, and the checkpoint is gone.
+  auto resumed = RunLloyd(data, initial, ckpt_options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectLloydBitwise(*resumed, *baseline, "standard");
+  EXPECT_FALSE(FileExists(ckpt_options.checkpoint_path));
 }
 
 TEST(CheckpointResumeTest, SeedingKillAfterCheckpointResumesBitwise) {

@@ -1,19 +1,13 @@
-// Cross-variant equivalence: standard Lloyd (RunLloyd, at pool = null /
-// 1 / 4), Hamerly, and Elkan must produce bitwise-identical centers,
-// assignments, costs, and iteration counts. Since PR "panel-cached
-// distance engine" all three variants evaluate every distance through
-// the batch engine's accumulation chains, so the tests assert exact
-// equality on random data in both kernel regimes (plain
-// d < kExpandedKernelMinDim, expanded d >= it) and on adversarial
-// integer-grid inputs with duplicated points and duplicated initial
-// centers, where every kernel's arithmetic is exact and ties are real.
-//
-// Scope: the inputs here are well-conditioned (centered Gaussians,
-// small-integer grids). On data with a huge common coordinate offset
-// the expanded kernel's absolute error (~eps·‖x‖²) can defeat the
-// variants' triangle-inequality certifications and the equivalence
-// degrades — the documented conditioning caveat (lloyd_hamerly.h), not
-// a property these tests claim.
+// Pool-size equivalence: RunLloyd at pool = null / 1 / 4 must produce
+// bitwise-identical centers, assignments, costs, iteration counts and
+// cost histories. Every distance goes through the batch engine's
+// accumulation chains and every reduction folds over the fixed chunk
+// grid, so the tests assert exact equality on random data in both
+// kernel regimes (plain d < kExpandedKernelMinDim, expanded d >= it),
+// on weighted data, on the empty-cluster repair path, and on
+// adversarial integer-grid inputs with duplicated points and duplicated
+// initial centers, where every kernel's arithmetic is exact and ties
+// are real.
 
 #include <gtest/gtest.h>
 
@@ -24,8 +18,6 @@
 
 #include "clustering/init_random.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
-#include "clustering/lloyd_hamerly.h"
 #include "data/synthetic.h"
 #include "distance/batch.h"
 #include "matrix/dataset.h"
@@ -35,18 +27,11 @@
 namespace kmeansll {
 namespace {
 
-struct VariantResults {
-  LloydResult standard;  // pool = null reference
-  LloydResult hamerly;
-  LloydResult elkan;
-};
-
-// Runs all three variants plus RunLloyd at pool sizes 1 and 4 and
-// asserts every trajectory is bitwise identical to the sequential
-// standard run.
-void ExpectAllVariantsBitwiseEqual(const Dataset& data,
-                                   const Matrix& initial_centers,
-                                   const LloydOptions& options) {
+// Runs RunLloyd at pool sizes 1 and 4 and asserts every trajectory is
+// bitwise identical to the sequential run.
+void ExpectPoolSizesBitwiseEqual(const Dataset& data,
+                                 const Matrix& initial_centers,
+                                 const LloydOptions& options) {
   auto standard = RunLloyd(data, initial_centers, options, nullptr);
   ASSERT_TRUE(standard.ok());
 
@@ -62,31 +47,14 @@ void ExpectAllVariantsBitwiseEqual(const Dataset& data,
         << "pool=" << threads;  // bitwise
     EXPECT_EQ(pooled->iterations, standard->iterations)
         << "pool=" << threads;
+    EXPECT_EQ(pooled->converged, standard->converged)
+        << "pool=" << threads;
+    EXPECT_EQ(pooled->empty_cluster_repairs,
+              standard->empty_cluster_repairs)
+        << "pool=" << threads;
     EXPECT_EQ(pooled->cost_history, standard->cost_history)
         << "pool=" << threads;  // bitwise
   }
-
-  auto hamerly = RunLloydHamerly(data, initial_centers, options);
-  ASSERT_TRUE(hamerly.ok());
-  EXPECT_TRUE(hamerly->centers == standard->centers);
-  EXPECT_EQ(hamerly->assignment.cluster, standard->assignment.cluster);
-  EXPECT_EQ(hamerly->assignment.cost, standard->assignment.cost);
-  EXPECT_EQ(hamerly->iterations, standard->iterations);
-  EXPECT_EQ(hamerly->converged, standard->converged);
-  EXPECT_EQ(hamerly->empty_cluster_repairs,
-            standard->empty_cluster_repairs);
-  EXPECT_EQ(hamerly->cost_history, standard->cost_history);  // bitwise
-
-  auto elkan = RunLloydElkan(data, initial_centers, options);
-  ASSERT_TRUE(elkan.ok());
-  EXPECT_TRUE(elkan->centers == standard->centers);
-  EXPECT_EQ(elkan->assignment.cluster, standard->assignment.cluster);
-  EXPECT_EQ(elkan->assignment.cost, standard->assignment.cost);
-  EXPECT_EQ(elkan->iterations, standard->iterations);
-  EXPECT_EQ(elkan->converged, standard->converged);
-  EXPECT_EQ(elkan->empty_cluster_repairs,
-            standard->empty_cluster_repairs);
-  EXPECT_EQ(elkan->cost_history, standard->cost_history);  // bitwise
 }
 
 // Random Gaussian mixtures in both kernel regimes. d = 8 exercises the
@@ -107,7 +75,7 @@ TEST_P(EquivalenceRegimeTest, RandomDataBitwiseEqual) {
   LloydOptions options;
   options.max_iterations = 40;
   options.track_history = true;
-  ExpectAllVariantsBitwiseEqual(generated->data, seed->centers, options);
+  ExpectPoolSizesBitwiseEqual(generated->data, seed->centers, options);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -133,14 +101,14 @@ TEST(LloydEquivalenceTest, WeightedDataBitwiseEqual) {
 
   LloydOptions options;
   options.max_iterations = 30;
-  ExpectAllVariantsBitwiseEqual(*weighted, seed->centers, options);
+  ExpectPoolSizesBitwiseEqual(*weighted, seed->centers, options);
 }
 
 // Adversarial: integer-coordinate points (all kernel arithmetic exact)
 // with heavy duplication — every point appears several times, and the
 // initial center set contains bitwise-duplicate rows, so nearest-center
-// ties are real and must break identically (lowest index) in the
-// standard scan, the Hamerly two-nearest scan, and the Elkan bound loop.
+// ties are real and must break identically (lowest index) at every pool
+// size.
 void RunAdversarialGrid(int64_t d) {
   const int64_t base_points = 60;
   const int64_t copies = 4;
@@ -170,7 +138,7 @@ void RunAdversarialGrid(int64_t d) {
   LloydOptions options;
   options.max_iterations = 25;
   options.track_history = true;
-  ExpectAllVariantsBitwiseEqual(data, centers, options);
+  ExpectPoolSizesBitwiseEqual(data, centers, options);
 }
 
 TEST(LloydEquivalenceTest, AdversarialIntegerGridPlainKernel) {
@@ -181,7 +149,7 @@ TEST(LloydEquivalenceTest, AdversarialIntegerGridExpandedKernel) {
   RunAdversarialGrid(40);
 }
 
-// Empty-cluster repair must fire identically across variants (an
+// Empty-cluster repair must fire identically at every pool size (an
 // outlier center no point chooses).
 TEST(LloydEquivalenceTest, RepairPathBitwiseEqual) {
   auto generated = data::GenerateGaussMixture(
@@ -201,7 +169,7 @@ TEST(LloydEquivalenceTest, RepairPathBitwiseEqual) {
   auto standard = RunLloyd(generated->data, start, options, nullptr);
   ASSERT_TRUE(standard.ok());
   EXPECT_GT(standard->empty_cluster_repairs, 0);
-  ExpectAllVariantsBitwiseEqual(generated->data, start, options);
+  ExpectPoolSizesBitwiseEqual(generated->data, start, options);
 }
 
 }  // namespace

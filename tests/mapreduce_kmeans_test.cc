@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "clustering/cost.h"
 #include "clustering/init_kmeansll.h"
 #include "clustering/lloyd.h"
 #include "clustering/mapreduce_kmeans.h"
 #include "data/synthetic.h"
+#include "parallel/thread_pool.h"
 #include "rng/rng.h"
 
 namespace kmeansll {
@@ -193,6 +196,47 @@ TEST(MRRunLloydTest, MatchesSequentialLloydCost) {
               1e-6 * (1 + sequential->assignment.cost));
   EXPECT_EQ(mr->iterations, sequential->iterations);
   EXPECT_EQ(mr->converged, sequential->converged);
+}
+
+// An outlier initial center that no point chooses leaves its cluster
+// empty after one iteration; MR must reseed it with the same point
+// RunLloyd's shared repair picks, in both kernel regimes and on a pool.
+TEST(MRRunLloydTest, EmptyClusterRepairMatchesRunLloyd) {
+  for (int64_t dim : {7, 40}) {  // plain and expanded kAuto kernels
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    auto generated = data::GenerateGaussMixture(
+        {.n = 600, .k = 4, .dim = dim, .center_stddev = 5.0,
+         .cluster_stddev = 1.0},
+        rng::Rng(135 + static_cast<uint64_t>(dim)));
+    ASSERT_TRUE(generated.ok());
+    const Dataset& data = generated->data;
+    Matrix start = data.points().GatherRows({0, 150, 300});
+    std::vector<double> outlier(static_cast<size_t>(dim), 1e6);
+    start.AppendRow(outlier.data());
+    const int64_t repaired_row = 3;
+
+    LloydOptions options;
+    options.max_iterations = 1;
+    auto sequential = RunLloyd(data, start, options);
+    ASSERT_TRUE(sequential.ok());
+    ASSERT_EQ(sequential->empty_cluster_repairs, 1);
+
+    ThreadPool pool(4);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      MRContext ctx;
+      ctx.num_partitions = 5;
+      ctx.pool = p;
+      auto mr = MRRunLloyd(data, start, options, ctx);
+      ASSERT_TRUE(mr.ok());
+      EXPECT_EQ(mr->empty_cluster_repairs,
+                sequential->empty_cluster_repairs);
+      for (int64_t j = 0; j < dim; ++j) {
+        EXPECT_EQ(mr->centers.At(repaired_row, j),
+                  sequential->centers.At(repaired_row, j))
+            << "j=" << j;  // bitwise: the same data point
+      }
+    }
+  }
 }
 
 TEST(MRRunLloydTest, ValidatesInputs) {

@@ -198,18 +198,6 @@ TEST(FailureInjectionTest, InfinityCoordinateRejected) {
   EXPECT_FALSE(KMeans(config).Fit(data).ok());
 }
 
-TEST(FailureInjectionTest, ValidationCanBeDisabled) {
-  // Trusted-pipeline escape hatch: with validate_data off the scan is
-  // skipped (the fit then operates on whatever arithmetic NaN yields —
-  // caller's responsibility).
-  Matrix points = Matrix::FromValues(4, 1, {1, 2, 3, 4});
-  Dataset data(std::move(points));
-  KMeansConfig config;
-  config.k = 2;
-  config.validate_data = false;
-  EXPECT_TRUE(KMeans(config).Fit(data).ok());
-}
-
 TEST(FailureInjectionTest, ValidateFiniteReportsLocation) {
   Matrix points = Matrix::FromValues(2, 3, {1, 2, 3, 4, -5, 6});
   points.At(1, 2) = -std::numeric_limits<double>::infinity();

@@ -2,8 +2,8 @@
 // concurrent recorders with exact counts, Chrome JSON export (valid
 // envelope, per-tid monotonic span end times), the KMEANSLL_TRACE_SPAN
 // compile/runtime gates — and the determinism contract: tracing is pure
-// observation, so seeding and every Lloyd variant produce bitwise
-// identical results with tracing on and off, at pool sizes null/1/4.
+// observation, so seeding and Lloyd produce bitwise identical results
+// with tracing on and off, at pool sizes null/1/4.
 //
 // The tracer under test is the process-wide singleton, so every test
 // brackets itself with Reset()/Disable() and the suite never records
@@ -23,8 +23,6 @@
 
 #include "clustering/init_kmeansll.h"
 #include "clustering/lloyd.h"
-#include "clustering/lloyd_elkan.h"
-#include "clustering/lloyd_hamerly.h"
 #include "data/synthetic.h"
 #include "matrix/dataset.h"
 #include "matrix/matrix.h"
@@ -236,13 +234,11 @@ TEST(TraceTest, ResetClearsRingsAndReRegistersThreads) {
 // ------------------------------------------------------ determinism
 
 // Everything a training run produces that the determinism contract
-// covers: seeding outputs and each variant's full trajectory.
+// covers: seeding outputs and Lloyd's full trajectory.
 struct TrainOutputs {
   Matrix seed_centers;
   std::vector<double> round_potentials;
   LloydResult standard;
-  LloydResult hamerly;
-  LloydResult elkan;
 };
 
 TrainOutputs RunTraining(const Dataset& data, int64_t k,
@@ -261,12 +257,6 @@ TrainOutputs RunTraining(const Dataset& data, int64_t k,
   auto standard = RunLloyd(data, out.seed_centers, options, pool);
   EXPECT_TRUE(standard.ok());
   out.standard = std::move(standard).ValueOrDie();
-  auto hamerly = RunLloydHamerly(data, out.seed_centers, options);
-  EXPECT_TRUE(hamerly.ok());
-  out.hamerly = std::move(hamerly).ValueOrDie();
-  auto elkan = RunLloydElkan(data, out.seed_centers, options);
-  EXPECT_TRUE(elkan.ok());
-  out.elkan = std::move(elkan).ValueOrDie();
   return out;
 }
 
@@ -283,9 +273,9 @@ void ExpectBitwiseEqual(const LloydResult& a, const LloydResult& b,
 // The instrumentation hard constraint: centers, assignments, and cost
 // histories are bitwise identical with tracing on and off — spans only
 // read clocks and append to their own buffers. Exercised through
-// seeding (KMEANSLL_TRACE_SPAN in the rounds loop) and all three Lloyd
-// variants (iteration/phase spans) at pool null, 1, and 4.
-TEST(TraceDeterminismTest, TracingOnOffBitwiseIdenticalAcrossVariants) {
+// seeding (KMEANSLL_TRACE_SPAN in the rounds loop) and Lloyd
+// (iteration/phase spans) at pool null, 1, and 4.
+TEST(TraceDeterminismTest, TracingOnOffBitwiseIdenticalAcrossPools) {
   TracerGuard guard;
   auto generated = data::GenerateGaussMixture(
       {.n = 600, .k = 7, .dim = 12, .center_stddev = 5.0,
@@ -315,8 +305,6 @@ TEST(TraceDeterminismTest, TracingOnOffBitwiseIdenticalAcrossVariants) {
     EXPECT_TRUE(traced.seed_centers == plain.seed_centers);
     EXPECT_EQ(traced.round_potentials, plain.round_potentials);  // bitwise
     ExpectBitwiseEqual(traced.standard, plain.standard, "standard");
-    ExpectBitwiseEqual(traced.hamerly, plain.hamerly, "hamerly");
-    ExpectBitwiseEqual(traced.elkan, plain.elkan, "elkan");
   }
 }
 
