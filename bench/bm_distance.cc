@@ -1,5 +1,6 @@
-// Micro-benchmarks for the distance kernels — the ablation behind
-// DESIGN.md §5.2 (plain vs norm-expanded nearest-center search).
+// Micro-benchmarks for the distance kernels — the ablation behind the
+// kernel choice in docs/ARCHITECTURE.md, "The distance engine" (plain
+// vs norm-expanded nearest-center search).
 
 #include <benchmark/benchmark.h>
 

@@ -79,7 +79,7 @@ BENCHMARK(BM_PartitionInit)
     ->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
-// Ablation (DESIGN.md §5.1): incremental min-distance maintenance vs
+// Ablation: incremental min-distance maintenance vs
 // naive full recomputation for k-means++. The naive variant rebuilds all
 // distances against the full center set each step — O(nk²d) total.
 void BM_KMeansPPNaiveRecompute(benchmark::State& state) {

@@ -5,24 +5,22 @@
 //     scan).
 //   * UnbatchedThreads — N serving threads each calling AssignOne
 //     directly on the shared snapshot (no coordination, one-row scans).
-//   * BatchedThreads — the same N threads going through RequestBatcher:
-//     concurrent queries coalesce under the latency bound and are
-//     answered by one blocked-engine pass over the frozen panels. The
-//     QPS ratio of these two at 8 threads is the serving layer's
-//     headline number (acceptance: >= 4x). BatchedThreadsAdaptive is the
-//     same loop with adaptive sizing on.
+//   * BatcherThreads — the same N threads going through RequestBatcher
+//     with default options: admission bookkeeping plus the same one-row
+//     scan on each caller's thread, so the gap to UnbatchedThreads is
+//     the batcher's overhead.
 //   * AssignBatchThroughput — the bulk Predict path (rows/s).
 //   * AssignBulk — 64-row bulk requests at perfbench serve_zipf's tenant
 //     shape (k = 4096, d = 64) over flat, clustered-pruned and
 //     diffuse-pruned indexes (rows/s).
-//   * AcquireSnapshot — the snapshot read every flushed batch pays.
+//   * AcquireSnapshot — the snapshot read every batcher query pays.
 //   * SwapUnderLoad — thread 0 continuously builds + publishes fresh
 //     snapshots while the remaining threads query; demonstrates that hot
 //     swaps never block readers (reader QPS stays within noise of the
 //     unbatched run) and counts the swaps achieved.
 //
 // Smoke variants run the same code at tiny sizes under ctest, asserting
-// batched == unbatched results so the bench itself cannot bit-rot.
+// batcher == direct AssignOne results so the bench itself cannot bit-rot.
 
 #include <benchmark/benchmark.h>
 
@@ -41,6 +39,7 @@
 #include <vector>
 
 #include "clustering/cost.h"
+#include "common/fault_injection.h"
 #include "common/math_util.h"
 #include "matrix/dataset.h"
 #include "matrix/dataset_view.h"
@@ -63,11 +62,9 @@ using serving::RequestBatcher;
 using serving::RequestBatcherOptions;
 
 // A serving-scale catalog: k in the thousands is the regime the paper's
-// "heavy traffic" scenario implies (large center sets, small queries),
-// and it is where batching pays — one query is a k·d = 512k
-// multiply-add scan that streams every panel for one row, so
-// coalescing 8 of them into a blocked engine pass amortizes both the
-// panel traffic (register tiling) and the scheduler wakeups.
+// "heavy traffic" scenario implies (large center sets, small queries):
+// one query is a k·d = 512k multiply-add scan that streams every panel
+// for one row.
 constexpr int64_t kK = 4096;
 constexpr int64_t kD = 128;
 constexpr int64_t kQueries = 4096;  // query pool cycled by every thread
@@ -122,51 +119,20 @@ void BM_UnbatchedThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_UnbatchedThreads)->Threads(8)->UseRealTime();
 
-// Eight closed-loop threads through one batcher with default options;
-// `adaptive` switches on adaptive sizing (default idle_close_us).
-void RunBatchedThreads(benchmark::State& state, RequestBatcher* batcher) {
+// Eight closed-loop threads through one batcher with default options.
+void BM_BatcherThreads(benchmark::State& state) {
   Fixture& f = SharedFixture(kK, kD);
+  static RequestBatcher batcher(&f.server, RequestBatcherOptions{});
   int64_t i = state.thread_index() * 37;
   for (auto _ : state) {
     // Admission control is off (default options), so every query is
     // admitted; ValueOrDie documents that.
-    benchmark::DoNotOptimize(
-        batcher->Assign(f.queries.Row(i)).ValueOrDie());
+    benchmark::DoNotOptimize(batcher.Assign(f.queries.Row(i)).ValueOrDie());
     i = (i + 1) % kQueries;
   }
   state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    RequestBatcher::Stats stats = batcher->stats();
-    state.counters["avg_batch"] =
-        stats.batches == 0
-            ? 0.0
-            : static_cast<double>(stats.batched_points) /
-                  static_cast<double>(stats.batches);
-  }
 }
-
-RequestBatcher* SharedBatcher(bool adaptive) {
-  auto make = [](bool adaptive_batch) {
-    RequestBatcherOptions options;
-    options.max_batch = 64;
-    options.max_delay_us = 200;
-    options.adaptive_batch = adaptive_batch;
-    return new RequestBatcher(&SharedFixture(kK, kD).server, options);
-  };
-  static RequestBatcher* fixed = make(false);
-  static RequestBatcher* adaptive_batcher = make(true);
-  return adaptive ? adaptive_batcher : fixed;
-}
-
-void BM_BatchedThreads(benchmark::State& state) {
-  RunBatchedThreads(state, SharedBatcher(false));
-}
-BENCHMARK(BM_BatchedThreads)->Threads(8)->UseRealTime();
-
-void BM_BatchedThreadsAdaptive(benchmark::State& state) {
-  RunBatchedThreads(state, SharedBatcher(true));
-}
-BENCHMARK(BM_BatchedThreadsAdaptive)->Threads(8)->UseRealTime();
+BENCHMARK(BM_BatcherThreads)->Threads(8)->UseRealTime();
 
 // --- Bulk path -----------------------------------------------------------
 
@@ -252,7 +218,7 @@ void BM_AssignBulk(benchmark::State& state) {
 }
 BENCHMARK(BM_AssignBulk)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
-// Snapshot acquisition, the one shared step of every flushed batch.
+// Snapshot acquisition, the one shared step of every batcher query.
 void BM_AcquireSnapshot(benchmark::State& state) {
   Fixture& f = SharedFixture(kK, kD);
   for (auto _ : state) {
@@ -344,15 +310,14 @@ struct SweepRow {
   double p99_us;
   int64_t num_groups;
   PruneStats prune;
-  double recall;
 };
 
 // One-shot sweep: QPS and latency percentiles across the k-sweep for
-// exact flat, pruned exact, and approximate (probe-limited) serving,
-// emitted both as benchmark counters and as machine-readable
-// BENCH_serving.json in the working directory. The headline number is
-// pruned QPS at k = 64k staying within 2x of k = 4k (near-flat scaling),
-// where the flat scan degrades ~16x.
+// the flat scan and the pruned index, emitted both as benchmark
+// counters and as machine-readable BENCH_serving.json in the working
+// directory. The headline number is pruned QPS at k = 64k staying
+// within 2x of k = 4k (near-flat scaling), where the flat scan degrades
+// ~16x.
 void BM_ServingSweepJson(benchmark::State& state) {
   constexpr int64_t kDim = 128;
   // Modal count of the serving data. The per-query cost of the pruned
@@ -387,8 +352,6 @@ void BM_ServingSweepJson(benchmark::State& state) {
       // near-flat (the auto sqrt(k) heuristic is for data whose modal
       // count is unknown).
       pruned_opts.num_groups = kBlobs;
-      CenterIndexOptions approx_opts = pruned_opts;
-      approx_opts.approx_probes = 8;
 
       struct ModeSpec {
         const char* name;
@@ -398,8 +361,6 @@ void BM_ServingSweepJson(benchmark::State& state) {
           {"exact_flat", CenterIndex::Build(Matrix(centers))},
           {"pruned",
            CenterIndex::Build(Matrix(centers), pruned_opts, 0, &pool)},
-          {"approx",
-           CenterIndex::Build(Matrix(centers), approx_opts, 0, &pool)},
       };
       for (const ModeSpec& mode : modes) {
         // Untimed warmup: stream the index once so the timed region
@@ -446,10 +407,6 @@ void BM_ServingSweepJson(benchmark::State& state) {
         row.p99_us = PercentileUs(best_lat, 99.0);
         row.num_groups = mode.index->num_groups();
         row.prune = mode.index->prune_stats();
-        row.recall = mode.index->pruned() && approx_opts.approx_probes > 0 &&
-                             std::string(mode.name) == "approx"
-                         ? mode.index->MeasureApproxRecall(queries.view())
-                         : 1.0;
         rows.push_back(row);
       }
     }
@@ -470,12 +427,11 @@ void BM_ServingSweepJson(benchmark::State& state) {
         out,
         "    {\"k\": %lld, \"mode\": \"%s\", \"qps\": %.1f, "
         "\"p50_us\": %.2f, \"p99_us\": %.2f, \"num_groups\": %lld, "
-        "\"groups_scanned\": %lld, \"groups_pruned\": %lld, "
-        "\"recall\": %.4f}%s\n",
+        "\"groups_scanned\": %lld, \"groups_pruned\": %lld}%s\n",
         static_cast<long long>(r.k), r.mode, r.qps, r.p50_us, r.p99_us,
         static_cast<long long>(r.num_groups),
         static_cast<long long>(r.prune.groups_scanned),
-        static_cast<long long>(r.prune.groups_pruned), r.recall,
+        static_cast<long long>(r.prune.groups_pruned),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -489,7 +445,7 @@ void BM_ServingSweepJson(benchmark::State& state) {
           r.qps;
     }
   }
-  for (const char* mode : {"exact_flat", "pruned", "approx"}) {
+  for (const char* mode : {"exact_flat", "pruned"}) {
     double q4 = 0.0, q64 = 0.0;
     for (const SweepRow& r : rows) {
       if (std::string(r.mode) == mode) {
@@ -511,10 +467,7 @@ void BM_ServingSmoke(benchmark::State& state) {
   Matrix centers = RandomMatrix(k, d, 55);
   Matrix queries = RandomMatrix(n, d, 66);
   ModelServer server(CenterIndex::Build(centers, /*version=*/1));
-  RequestBatcherOptions options;
-  options.max_batch = 4;
-  options.max_delay_us = 50;
-  RequestBatcher batcher(&server, options);
+  RequestBatcher batcher(&server, RequestBatcherOptions{});
   auto index = server.Acquire();
   for (auto _ : state) {
     for (int64_t i = 0; i < n; ++i) {
@@ -524,14 +477,14 @@ void BM_ServingSmoke(benchmark::State& state) {
                      "FATAL: default options must admit every query\n");
         std::exit(1);
       }
-      NearestResult batched = admitted.ValueOrDie();
+      NearestResult served = admitted.ValueOrDie();
       NearestResult direct = index->AssignOne(queries.Row(i));
-      if (batched.index != direct.index ||
-          batched.distance2 != direct.distance2) {
+      if (served.index != direct.index ||
+          served.distance2 != direct.distance2) {
         // Hard-exit, not SkipWithError: benchmark_main exits 0 after a
         // skip, which would let ctest report this gate as PASS.
         std::fprintf(stderr,
-                     "FATAL: batched result diverged from AssignOne\n");
+                     "FATAL: batcher result diverged from AssignOne\n");
         std::exit(1);
       }
     }
@@ -677,41 +630,52 @@ void BM_AssignBulkSmoke(benchmark::State& state) {
 BENCHMARK(BM_AssignBulkSmoke);
 
 void BM_OverloadShedSmoke(benchmark::State& state) {
-  // Deterministic overload: max_pending = 1 with a parked leader means
-  // the second concurrent query MUST be shed with kUnavailable. Each
-  // iteration validates one full shed/serve cycle; the counters are
-  // checked at the end (acceptance: shedding is observable and exact,
-  // admitted queries are all answered).
+  // Deterministic overload: max_pending = 1 with a query held in a
+  // slowed scan (the "batcher.scan" fault site, kSlowIo) means a second
+  // concurrent query MUST be shed with kUnavailable. Each iteration
+  // validates one full shed/serve cycle; the counters are checked at the
+  // end (acceptance: shedding is observable and exact, admitted queries
+  // are all answered).
+#if !KMEANSLL_FAULT_INJECTION
+  for (auto _ : state) {
+  }
+  state.SetLabel("skipped: needs the batcher.scan fault site");
+  return;
+#endif
   const int64_t k = 16, d = 24;
   Matrix centers = RandomMatrix(k, d, 77);
   Matrix queries = RandomMatrix(2, d, 88);
   ModelServer server(CenterIndex::Build(centers, /*version=*/1));
   RequestBatcherOptions options;
-  options.max_batch = 2;
-  options.max_delay_us = 20000;  // leader parks; no follower can join
-  options.idle_close_us = 0;
   options.max_pending = 1;
   RequestBatcher batcher(&server, options);
+  fault::FaultInjector& faults = fault::FaultInjector::Global();
   int64_t cycles = 0;
   for (auto _ : state) {
-    std::thread leader([&] {
+    faults.Reset();
+    fault::FaultRule hold;
+    hold.kind = fault::FaultKind::kSlowIo;
+    hold.nth_call = 1;
+    hold.max_triggers = 1;
+    hold.slow_io_us = 20000;
+    faults.Arm("batcher.scan", hold);
+    std::thread held([&] {
       if (!batcher.Assign(queries.Row(0)).ok()) {
-        std::fprintf(stderr, "FATAL: admitted leader query failed\n");
+        std::fprintf(stderr, "FATAL: admitted held query failed\n");
         std::exit(1);
       }
     });
-    while (batcher.stats().queries < 2 * cycles + 1) {
-      std::this_thread::yield();
-    }
+    while (faults.triggered_count() < 1) std::this_thread::yield();
     Result<NearestResult> shed = batcher.Assign(queries.Row(1));
     if (shed.ok() || !shed.status().IsUnavailable()) {
       std::fprintf(stderr,
                    "FATAL: over-limit query was not shed kUnavailable\n");
       std::exit(1);
     }
-    leader.join();
+    held.join();
     ++cycles;
   }
+  faults.Reset();
   RequestBatcher::Stats stats = batcher.stats();
   if (stats.shed != cycles || stats.served != cycles ||
       stats.queries != stats.served + stats.shed) {

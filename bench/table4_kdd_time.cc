@@ -1,8 +1,8 @@
 // Table 4 of the paper: running time (minutes) on KDDCup1999 in the
 // parallel (Hadoop) setting.
 //
-// Substitution (DESIGN.md §2): the real algorithms run here single-core
-// to produce their true telemetry (rounds, intermediate-set sizes, Lloyd
+// Substitution: the real algorithms run here single-core to produce
+// their true telemetry (rounds, intermediate-set sizes, Lloyd
 // iterations); the simcluster cost model — calibrated to this host's
 // measured kernel throughput — converts that telemetry into modeled
 // minutes on an m-machine cluster at paper scale (n = 4.8M, d = 42,

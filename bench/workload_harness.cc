@@ -52,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/timer.h"
@@ -488,14 +489,12 @@ int RunBench(const eval::Args& args) {
   const int64_t pool_rows = args.GetInt("queries", 4096);
   const bool churn = args.GetBool("churn", true);
 
-  // --pruned serves every tenant from the two-level pruned index
-  // (exact unless --approx_probes caps the group scan). min_prune_k
-  // drops to 1 so the flag takes effect at any --k.
+  // --pruned serves every tenant from the two-level pruned index.
+  // min_prune_k drops to 1 so the flag takes effect at any --k.
   CenterIndexOptions index_opts;
   index_opts.enable_pruning = args.GetBool("pruned", false);
   index_opts.min_prune_k = 1;
   index_opts.num_groups = args.GetInt("groups", 0);
-  index_opts.approx_probes = args.GetInt("approx_probes", 0);
 
   WorkloadSpec spec;
   spec.num_models = models;
@@ -511,21 +510,16 @@ int RunBench(const eval::Args& args) {
 
   const Matrix pool = RandomMatrix(pool_rows, d, 77);
   RequestBatcherOptions batcher;
-  batcher.max_batch = args.GetInt("max_batch", 64);
-  batcher.max_delay_us = args.GetInt("max_delay_us", 200);
-  batcher.adaptive_batch = args.GetBool("adaptive", true);
   batcher.max_pending = args.GetInt("max_pending", 0);
   batcher.max_latency_us = args.GetInt("max_latency_us", 0);
 
   std::printf(
       "workload_harness: %" PRId64 " models, k=%" PRId64 " d=%" PRId64
       ", %" PRId64 " ops, model_theta=%.2f query_theta=%.2f "
-      "mix=%.2f/%.2f/%.2f churn=%d adaptive=%d pruned=%d probes=%" PRId64
-      "\n\n",
+      "mix=%.2f/%.2f/%.2f churn=%d pruned=%d\n\n",
       models, k, d, ops, spec.model_theta, spec.query_theta,
       spec.mix.assign_one, spec.mix.top_m, spec.mix.bulk, churn ? 1 : 0,
-      batcher.adaptive_batch ? 1 : 0, index_opts.enable_pruning ? 1 : 0,
-      index_opts.approx_probes);
+      index_opts.enable_pruning ? 1 : 0);
 
   eval::TablePrinter scaling(
       {"threads", "elapsed_s", "qps", "served", "shed", "publishes",
@@ -640,10 +634,9 @@ void SmokeMixedServe(const CenterIndexOptions& index_opts) {
   spec.bulk_rows = 16;
   spec.seed = 999;
 
-  RequestBatcherOptions batcher;  // no admission limits: nothing sheds
-  batcher.max_batch = 4;
-  batcher.max_delay_us = 50;
-  auto registry = BuildRegistry(models, k, d, batcher, index_opts);
+  // No admission limits: nothing sheds.
+  auto registry =
+      BuildRegistry(models, k, d, RequestBatcherOptions{}, index_opts);
   const Matrix pool = RandomMatrix(pool_rows, d, 77);
 
   // Flat twins of every tenant (same seeded centers, pruning off) for
@@ -791,16 +784,20 @@ void SmokeMixedServe(const CenterIndexOptions& index_opts) {
 // Gate 3: deterministic overload — the hot tenant sheds EXACTLY its
 // over-limit queries, the cold tenant runs shed-free with bitwise
 // answers, and a publish to the cold tenant leaves the hot tenant's
-// snapshot pointer and version untouched.
+// snapshot pointer and version untouched. One hot query is held in a
+// slowed scan through the "batcher.scan" fault site, so the gate needs
+// the fault hooks compiled in.
 void SmokeOverloadIsolation() {
+#if !KMEANSLL_FAULT_INJECTION
+  std::printf("workload_harness --smoke: overload gate skipped (fault "
+              "hooks compiled out)\n");
+  return;
+#endif
   const int64_t k = 16, d = 8;
   const int64_t kOverload = 40;
 
   auto registry = std::make_unique<ServerRegistry>();
   TenantOptions hot;
-  hot.batcher.max_batch = 2;
-  hot.batcher.max_delay_us = 300000;  // leader parks across the phase
-  hot.batcher.idle_close_us = 0;
   hot.batcher.max_pending = 1;
   Expect(registry
              ->Register("hot", CenterIndex::Build(RandomMatrix(k, d, 1),
@@ -818,16 +815,22 @@ void SmokeOverloadIsolation() {
   const auto hot_before = registry->AcquireSnapshot("hot").ValueOrDie();
   const auto cold_snapshot = registry->AcquireSnapshot("cold").ValueOrDie();
 
-  // Park the hot tenant's leader: it occupies the single max_pending
-  // slot and waits out its (long) delay for a follower that admission
-  // control will never let in.
-  std::thread parked([&] {
+  // Hold the hot tenant's first query in a slowed scan (kSlowIo on the
+  // first call to the site, once): it occupies the single max_pending
+  // slot across the phase below.
+  fault::FaultInjector& faults = fault::FaultInjector::Global();
+  faults.Reset();
+  fault::FaultRule hold;
+  hold.kind = fault::FaultKind::kSlowIo;
+  hold.nth_call = 1;
+  hold.max_triggers = 1;
+  hold.slow_io_us = 300000;
+  faults.Arm("batcher.scan", hold);
+  std::thread held([&] {
     Result<NearestResult> r = registry->Assign("hot", pool.Row(0));
-    Expect(r.ok(), "the admitted (parked) leader must be answered");
+    Expect(r.ok(), "the admitted (held) query must be answered");
   });
-  while (registry->stats("hot").ValueOrDie().batcher.queries < 1) {
-    std::this_thread::yield();
-  }
+  while (faults.triggered_count() < 1) std::this_thread::yield();
 
   // Exactly kOverload over-limit queries to hot: every one sheds.
   for (int64_t i = 0; i < kOverload; ++i) {
@@ -859,7 +862,8 @@ void SmokeOverloadIsolation() {
          "hot snapshot pointer must be untouched by cold publish");
   Expect(hot_after->version() == 1, "hot version must be untouched");
 
-  parked.join();  // leader flushes at its deadline
+  held.join();  // answered once its slowed scan ends
+  faults.Reset();
 
   const ServerRegistry::TenantStats hot_stats =
       registry->stats("hot").ValueOrDie();
@@ -867,7 +871,8 @@ void SmokeOverloadIsolation() {
       registry->stats("cold").ValueOrDie();
   Expect(hot_stats.batcher.queries == 1 + kOverload,
          "hot query accounting");
-  Expect(hot_stats.batcher.served == 1, "hot must serve exactly the leader");
+  Expect(hot_stats.batcher.served == 1,
+         "hot must serve exactly the held query");
   Expect(hot_stats.batcher.shed == kOverload,
          "hot must shed exactly the over-limit queries");
   Expect(cold_stats.batcher.queries == kOverload, "cold query accounting");
@@ -876,7 +881,7 @@ void SmokeOverloadIsolation() {
   Expect(cold_stats.server.publishes == 1, "cold publish accounting");
   Expect(hot_stats.server.publishes == 0, "hot publish accounting");
 
-  g_smoke_expected.queries += 1 + 2 * kOverload;  // parked leader + both
+  g_smoke_expected.queries += 1 + 2 * kOverload;  // held query + both
   g_smoke_expected.served += 1 + kOverload;
   g_smoke_expected.shed += kOverload;
   g_smoke_expected.publishes += 1;

@@ -95,14 +95,12 @@ int main(int argc, char** argv) {
   index.status().Abort("index build");
   serving::ModelServer server(*index);
 
-  serving::RequestBatcherOptions batch_options;
-  batch_options.max_batch = 64;
-  batch_options.max_delay_us = 200;
   // Backpressure: bound the admitted backlog so a traffic spike sheds
-  // (kUnavailable + retry hint) instead of queueing unboundedly. The
-  // reader loop below just drops shed queries; a real frontend would
-  // surface the retry hint to its caller.
-  batch_options.max_pending = 4 * batch_options.max_batch;
+  // (kUnavailable + retry hint) instead of letting latency grow without
+  // bound. The reader loop below just drops shed queries; a real
+  // frontend would surface the retry hint to its caller.
+  serving::RequestBatcherOptions batch_options;
+  batch_options.max_pending = 256;
   serving::RequestBatcher batcher(&server, batch_options);
 
   // --- 3. Serve under refinement -----------------------------------------
@@ -136,14 +134,8 @@ int main(int argc, char** argv) {
   for (auto& t : serving_threads) t.join();
 
   serving::RequestBatcher::Stats stats = batcher.stats();
-  std::cout << "served " << stats.queries << " queries in "
-            << stats.batches << " batched scans (avg batch "
-            << (stats.batches == 0
-                    ? 0.0
-                    : static_cast<double>(stats.batched_points) /
-                          static_cast<double>(stats.batches))
-            << ", largest " << stats.largest_batch << "; "
-            << stats.shed << " shed under backpressure)\n";
+  std::cout << "served " << stats.served << " of " << stats.queries
+            << " queries (" << stats.shed << " shed under backpressure)\n";
 
   // --- 4. Bitwise check against the training-side evaluator --------------
   auto final_snapshot = server.Acquire();

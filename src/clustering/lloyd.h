@@ -61,7 +61,8 @@ struct LloydResult {
 /// Empty-cluster repair: when a cluster receives no (weighted) points, its
 /// center is reseeded to the point with the largest current cost
 /// contribution not already claimed by another repair — a deterministic
-/// policy; the paper does not specify one (DESIGN.md §5.5).
+/// policy; the paper does not specify one (docs/ARCHITECTURE.md, "The
+/// determinism contract", item 5).
 ///
 /// `point_norms` (RowSquaredNorms of data.points(), length n) may be
 /// null, in which case the norms are computed here once per run; callers

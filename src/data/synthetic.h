@@ -6,11 +6,10 @@
 // weights.
 //
 // SpamLike and KddLike are offline stand-ins for the UCI Spam and
-// KDDCup1999 datasets (see DESIGN.md §2 for the substitution argument):
-// they preserve the properties the experiments depend on — uneven cluster
-// masses (power-law for KDD), feature scales spanning orders of magnitude,
-// and a small fraction of far outliers that "confuse" k-means++ (paper
-// §5.1).
+// KDDCup1999 datasets: they preserve the properties the experiments
+// depend on — uneven cluster masses (power-law for KDD), feature scales
+// spanning orders of magnitude, and a small fraction of far outliers
+// that "confuse" k-means++ (paper §5.1).
 
 #ifndef KMEANSLL_DATA_SYNTHETIC_H_
 #define KMEANSLL_DATA_SYNTHETIC_H_

@@ -11,7 +11,9 @@ Args::Args(int argc, char** argv) {
     std::string body = arg.substr(2);
     size_t eq = body.find('=');
     if (eq == std::string::npos) {
-      values_[body] = "1";
+      // A bare flag reads "1". Not `= "1"`: gcc 12 at -O3 misreads that
+      // assignment as an overlapping memcpy and warns under -Wrestrict.
+      values_[body].assign(1, '1');
     } else {
       values_[body.substr(0, eq)] = body.substr(eq + 1);
     }

@@ -4,7 +4,8 @@
 // Substreams derived via Fork(purpose, index) are statistically independent
 // and depend only on (root seed, purpose, index) — never on thread count or
 // execution order — which is what makes the parallel algorithms
-// bit-reproducible (DESIGN.md §5.7).
+// bit-reproducible (docs/ARCHITECTURE.md, "The determinism contract",
+// item 5).
 //
 // Generator: xoshiro256** (Blackman & Vigna 2018), period 2^256 - 1.
 

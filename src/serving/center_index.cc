@@ -37,7 +37,7 @@ const PruneMetrics& GetPruneMetrics() {
         r.GetCounter("kmll_prune_groups_scanned_total",
                      "Coarse groups that reached the distance engine."),
         r.GetCounter("kmll_prune_groups_pruned_total",
-                     "Coarse groups skipped by bounds or probe caps."),
+                     "Coarse groups skipped by the bounds."),
         r.GetCounter("kmll_prune_exact_fallbacks_total",
                      "Queries served by the flat scan instead of the "
                      "pruned path."),
@@ -135,7 +135,7 @@ void CenterIndex::BuildPruned(ThreadPool* pool) {
 
   // Coarse k-means over the centers themselves, with the repo's own
   // seeding. Reduced rounds and oversampling keep the build cheap:
-  // grouping quality only moves scan counts, never exact-mode results,
+  // grouping quality only moves scan counts, never results,
   // so a slightly worse coarse clustering costs QPS, not correctness.
   Dataset center_data{Matrix(centers_)};
   KMeansLLOptions seed_opts;
@@ -262,9 +262,6 @@ void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
   const int64_t g = p.coarse_centers.rows();
   const int64_t active = static_cast<int64_t>(p.active_groups.size());
   const double* group_norms = p.norms.empty() ? nullptr : p.norms.data();
-  const bool exact = options_.approx_probes <= 0;
-  const int64_t probe_limit = exact ? std::numeric_limits<int64_t>::max()
-                                    : options_.approx_probes;
 
   int64_t scanned_total = 0;
   int64_t pruned_total = 0;
@@ -334,14 +331,14 @@ void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
       return ConstMatrixView(points.Row(rows.begin + tb + i), 1, d);
     };
 
-    // A multi-row exact tile first scans each row's nearest-coarse group
+    // A multi-row tile first scans each row's nearest-coarse group
     // (argmin of the coarse distances, lowest group on ties) and counts
     // the row × group slots whose bound that best cannot exclude. Where
     // more than half survive, the walk would visit most groups one row
     // at a time, so the tile is answered by the flat panels in one
     // blocked scan instead. Both return the exact lexicographic minimum
     // on (d², original index), so the answers are bitwise the walk's.
-    const bool seeded = exact && tn >= 2;
+    const bool seeded = tn >= 2;
     if (seeded) seeds.assign(static_cast<size_t>(tn), Seed{});
     int64_t survivors = 0;
     for (int64_t i = 0; i < tn; ++i) {
@@ -393,10 +390,7 @@ void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
       int64_t scanned = seeded ? 1 : 0;
       const ConstMatrixView view = row_view(i);
       for (const auto& [bound, j] : order) {
-        if (scanned >= probe_limit ||
-            (best_orig >= 0 && bound - slack > std::sqrt(best_d2))) {
-          break;
-        }
+        if (best_orig >= 0 && bound - slack > std::sqrt(best_d2)) break;
         if (j == seed.group) continue;
         scan_group(view, pn + i, j, &best_d2, &best_orig);
         ++scanned;
@@ -426,9 +420,6 @@ void CenterIndex::PrunedFindTopMRange(ConstMatrixView points,
   if (n <= 0) return;
   const int64_t g = p.coarse_centers.rows();
   const double* group_norms = p.norms.empty() ? nullptr : p.norms.data();
-  const int64_t probe_limit = options_.approx_probes > 0
-                                  ? options_.approx_probes
-                                  : std::numeric_limits<int64_t>::max();
   // Slot-displacement order: lexicographic on (d², original index), with
   // empty slots at (+inf, -1). This is exactly the flat BatchTopM
   // outcome — ascending visit + strict-< keeps the m lexicographically
@@ -490,9 +481,8 @@ void CenterIndex::PrunedFindTopMRange(ConstMatrixView points,
         // Skip only once all m slots are real (pd[m-1] < inf guarantees
         // it) AND the bound proves no member can displace the worst
         // slot; comparisons stay strict with the slack margin.
-        if (scanned >= probe_limit ||
-            (pd[m - 1] < kInf &&
-             order[oi].first - slack > std::sqrt(pd[m - 1]))) {
+        if (pd[m - 1] < kInf &&
+            order[oi].first - slack > std::sqrt(pd[m - 1])) {
           pruned_total += static_cast<int64_t>(order.size() - oi);
           break;
         }
@@ -584,8 +574,8 @@ Assignment CenterIndex::AssignBatch(const DatasetSource& data,
                                        out.cluster.data());
     return out;
   }
-  // The pruned per-row d² are bitwise the flat scan's (in exact mode),
-  // so the shared reduction's fold — indices AND cost — is too.
+  // The pruned per-row d² are bitwise the flat scan's, so the shared
+  // reduction's fold — indices AND cost — is too.
   out.cost = ReduceNearest(
       data,
       [this](ConstMatrixView points, IndexRange rows, const double* norms,
@@ -643,27 +633,6 @@ void CenterIndex::AssignTopMRange(ConstMatrixView points, IndexRange rows,
   }
   search_.FindTopMRange(points, rows, /*point_norms=*/nullptr, m, out_index,
                         out_d2);
-}
-
-double CenterIndex::MeasureApproxRecall(ConstMatrixView queries) const {
-  KMEANSLL_CHECK_EQ(queries.cols(), dim());
-  const int64_t n = queries.rows();
-  if (n <= 0 || pruned_ == nullptr) return 1.0;
-  std::vector<int32_t> exact_idx(static_cast<size_t>(n));
-  std::vector<int32_t> served_idx(static_cast<size_t>(n));
-  std::vector<double> d2(static_cast<size_t>(n));
-  search_.FindRange(queries, IndexRange{0, n}, /*point_norms=*/nullptr,
-                    exact_idx.data(), d2.data());
-  PrunedFindRange(queries, IndexRange{0, n}, /*point_norms=*/nullptr,
-                  served_idx.data(), d2.data());
-  int64_t matched = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (exact_idx[static_cast<size_t>(i)] ==
-        served_idx[static_cast<size_t>(i)]) {
-      ++matched;
-    }
-  }
-  return static_cast<double>(matched) / static_cast<double>(n);
 }
 
 Assignment Predict(const CenterIndex& index, const Dataset& data) {

@@ -34,19 +34,17 @@
 // to ComputeAssignment on the same centers at any pool size. AssignOne
 // is AssignRange on one row, and AssignTopM's slot 0 is bitwise the
 // AssignOne result. The pruned
-// exact mode PRESERVES all of this bitwise: per-pair engine values never
+// path PRESERVES all of this bitwise: per-pair engine values never
 // depend on panel placement, the in-group permutation keeps ascending
 // original order (so in-group strict-< ties resolve like the flat scan),
 // cross-group winners merge lexicographically on (d², original index),
 // and the skip test subtracts a conservative floating-point slack from
 // the bound before comparing strictly — a skipped group's members are
 // provably strictly farther than the running best, so neither values nor
-// tie resolution can change. A multi-row exact tile whose own bounds
+// tie resolution can change. A multi-row tile whose own bounds
 // cannot skip most groups is answered by the flat panels in one blocked
 // scan instead of the walk (see PrunedFindRange) — the flat scan is the
-// same exact lexicographic minimum. Only the opt-in approximate mode
-// (approx_probes > 0) may diverge, by bounding how many groups are
-// scanned; MeasureApproxRecall reports the resulting recall.
+// same exact lexicographic minimum.
 
 #ifndef KMEANSLL_SERVING_CENTER_INDEX_H_
 #define KMEANSLL_SERVING_CENTER_INDEX_H_
@@ -81,14 +79,9 @@ struct CenterIndexOptions {
   /// Coarse group count; 0 picks ⌈√k⌉ (balances the g-distance coarse
   /// pass against the k/g-sized group scans).
   int64_t num_groups = 0;
-  /// 0 = exact (prune only what the bounds prove safe). > 0 = approximate
-  /// mode: scan at most this many groups per query, in ascending
-  /// lower-bound order — results may then differ from the flat scan;
-  /// see MeasureApproxRecall.
-  int64_t approx_probes = 0;
   /// Seed of the coarse k-means over the centers. Fixed default: the
   /// grouping must not depend on anything per-process. (Exact-mode
-  /// RESULTS never depend on the grouping — only scan counts do.)
+  /// Results never depend on the grouping — only scan counts do.)
   uint64_t coarse_seed = 0x9E3779B97F4A7C15ULL;
   /// k-means|| rounds for the coarse seeding (build cost knob).
   int64_t coarse_rounds = 3;
@@ -104,13 +97,12 @@ struct CenterIndexOptions {
 /// atomics, safe to read under concurrent traffic). Counters accumulate
 /// over the snapshot's lifetime — a publish/swap starts fresh ones.
 /// Invariant for pruned queries: groups_scanned + groups_pruned ==
-/// queries × (non-empty group count); approximate-mode probe cutoffs
-/// count the unvisited remainder as pruned, and a row of a tile answered
-/// by the flat panels counts as a pruned query that scanned every group.
+/// queries × (non-empty group count); a row of a tile answered by the
+/// flat panels counts as a pruned query that scanned every group.
 struct PruneStats {
   int64_t queries = 0;          ///< queries answered via the pruned path
   int64_t groups_scanned = 0;   ///< groups that reached the engine
-  int64_t groups_pruned = 0;    ///< groups skipped (bounds or probe cap)
+  int64_t groups_pruned = 0;    ///< groups skipped by the bounds
   int64_t exact_fallbacks = 0;  ///< queries served flat although pruning
                                 ///< was requested (k < min_prune_k or
                                 ///< coarse build unavailable)
@@ -168,14 +160,13 @@ class CenterIndex {
   PruneStats prune_stats() const;
 
   /// Nearest center for one point (`point` has dim() coordinates):
-  /// AssignRange on one row, through the panel engine. The right call
-  /// for a single ad-hoc query; high request rates should go through
-  /// serving::RequestBatcher, which coalesces concurrent callers onto
-  /// one multi-row AssignRange.
+  /// AssignRange on one row, through the panel engine. Concurrent
+  /// callers scan in parallel; serving::RequestBatcher puts admission
+  /// control in front of this call.
   NearestResult AssignOne(const double* point) const;
 
   /// Nearest center + squared distance for rows [rows.begin, rows.end)
-  /// of a borrowed contiguous block (the batcher's path). Output arrays
+  /// of a borrowed contiguous block. Output arrays
   /// are range-relative; `out_d2` may be null when only indices matter.
   void AssignRange(ConstMatrixView points, IndexRange rows,
                    int32_t* out_index, double* out_d2) const;
@@ -184,9 +175,8 @@ class CenterIndex {
   /// ComputeAssignment(data, centers(), pool, point_norms) — same
   /// reduction, same chunk grid, same Kahan fold — with the packing cost
   /// already paid at Build. `point_norms` (length data.n()) may be null.
-  /// The pruned exact path preserves this bitwise (identical per-row d²
-  /// feed the identical per-chunk Kahan chains); only approx_probes > 0
-  /// may diverge.
+  /// The pruned path preserves this bitwise (identical per-row d² feed
+  /// the identical per-chunk Kahan chains).
   Assignment AssignBatch(const DatasetSource& data,
                          ThreadPool* pool = nullptr,
                          const double* point_norms = nullptr) const;
@@ -205,13 +195,6 @@ class CenterIndex {
   /// beyond k hold -1 / +infinity).
   void AssignTopMRange(ConstMatrixView points, IndexRange rows, int64_t m,
                        int32_t* out_index, double* out_d2) const;
-
-  /// Recall of this index's serving path on `queries`: the fraction of
-  /// rows whose AssignRange nearest-center index equals the exact flat
-  /// scan's. 1.0 by construction for exact indexes (pruned or flat);
-  /// meaningfully < 1.0 only with approx_probes > 0. Empty queries
-  /// return 1.0.
-  double MeasureApproxRecall(ConstMatrixView queries) const;
 
  private:
   // The two-level index state: one permuted, group-contiguous packed
@@ -241,11 +224,11 @@ class CenterIndex {
   void BuildPruned(ThreadPool* pool);
 
   /// Pruned-path FindRange: per-row adaptive group scans, bitwise equal
-  /// to the flat FindRange in exact mode. In exact mode a tile of two or
-  /// more rows first scans each row's nearest-coarse group; if more than
-  /// half of the tile's row × group slots survive that best's bounds,
-  /// the tile is answered by search_ in one FindRange, otherwise the
-  /// walk resumes from the seeded best. Single rows always walk.
+  /// to the flat FindRange. A tile of two or more rows first scans each
+  /// row's nearest-coarse group; if more than half of the tile's row ×
+  /// group slots survive that best's bounds, the tile is answered by
+  /// search_ in one FindRange, otherwise the walk resumes from the
+  /// seeded best. Single rows always walk.
   /// `point_norms` (range-relative, SquaredNorm chain) may be null.
   void PrunedFindRange(ConstMatrixView points, IndexRange rows,
                        const double* point_norms, int32_t* out_index,

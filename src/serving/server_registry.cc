@@ -192,7 +192,7 @@ std::string ServerRegistry::DumpPrometheusText() const {
   };
 
   family("kmll_tenant_queries_total", "counter",
-         "Batched Assign calls admitted or shed, per tenant.",
+         "Assign calls admitted or shed, per tenant.",
          [](const TenantStats& s) { return s.batcher.queries; });
   family("kmll_tenant_served_total", "counter",
          "Queries answered with a result, per tenant.",
@@ -203,18 +203,6 @@ std::string ServerRegistry::DumpPrometheusText() const {
   family("kmll_tenant_deadline_misses_total", "counter",
          "Queries served past their latency deadline, per tenant.",
          [](const TenantStats& s) { return s.batcher.deadline_misses; });
-  family("kmll_tenant_batches_total", "counter",
-         "Engine passes flushed by the batcher, per tenant.",
-         [](const TenantStats& s) { return s.batcher.batches; });
-  family("kmll_tenant_batched_points_total", "counter",
-         "Points across all flushed batches, per tenant.",
-         [](const TenantStats& s) { return s.batcher.batched_points; });
-  family("kmll_tenant_largest_batch", "gauge",
-         "Largest coalesced batch seen, per tenant.",
-         [](const TenantStats& s) { return s.batcher.largest_batch; });
-  family("kmll_tenant_adaptive_batch_limit", "gauge",
-         "Batch-full threshold the next batch opens with, per tenant.",
-         [](const TenantStats& s) { return s.batcher.adaptive_batch_limit; });
   family("kmll_tenant_publishes_total", "counter",
          "Successful snapshot publishes, per tenant.",
          [](const TenantStats& s) { return s.server.publishes; });

@@ -7,7 +7,7 @@
 // stacks, each an independent column:
 //
 //   name ──► Tenant { ModelServer (RCU snapshot holder)
-//                     RequestBatcher (per-model coalescing + admission)
+//                     RequestBatcher (per-model admission control)
 //                     LatencyHistogram (per-model percentile telemetry)
 //                     op counters (atomic cells) }
 //
@@ -23,16 +23,14 @@
 // the name to a Tenant*, and tenants are never removed, so the pointer
 // stays valid for the registry's lifetime.
 //
-// Each tenant's batcher can run with adaptive sizing
-// (RequestBatcherOptions::adaptive_batch): the batch-full threshold
-// tracks the joins that tenant's leaders observe, so a cold tenant's
-// occasional query flushes at once while a hot tenant's flood coalesces
-// into full engine panels — per-tenant, because traffic differs per
-// tenant. Per-query end-to-end latency (admission through answer)
-// is recorded into the tenant's LatencyHistogram, whose snapshot() is
-// per-cell tear-free on the IoStats atomic-cell pattern; stats(name)
-// bundles it with the batcher/server counters so a scraper gets QPS,
-// shed counts, and p50/p95/p99 without touching any query-path lock.
+// Each tenant's batcher admits and sheds by that tenant's own bounds,
+// and every admitted query scans on its caller's thread, so a cold
+// tenant's occasional query never waits behind a hot tenant's flood.
+// Per-query end-to-end latency (admission through answer) is recorded
+// into the tenant's LatencyHistogram, whose snapshot() is per-cell
+// tear-free on the IoStats atomic-cell pattern; stats(name) bundles it
+// with the batcher/server counters so a scraper gets QPS, shed counts,
+// and p50/p95/p99 without touching any query-path lock.
 //
 // bench/workload_harness.cc drives this front end with seeded zipf
 // model- and query-skew (YCSB-style mixed operation streams) and prints
@@ -58,7 +56,7 @@ namespace kmeansll::serving {
 
 /// Per-model serving configuration supplied at Register time.
 struct TenantOptions {
-  /// Batching + admission for this model's single-point query path.
+  /// Admission control for this model's single-point query path.
   /// max_pending / max_latency_us are the tenant's overload contract:
   /// exceeding them sheds THIS tenant's queries (kUnavailable with a
   /// retry hint) and nobody else's.
@@ -84,15 +82,15 @@ class ServerRegistry {
                   const TenantOptions& options = TenantOptions{});
 
   /// Nearest center of `point` under `name`'s current snapshot, through
-  /// that tenant's batcher (coalescing + admission control). Unknown
+  /// that tenant's batcher (admission control). Unknown
   /// names fail kInvalidArgument; overload sheds kUnavailable. Served
   /// queries record end-to-end latency into the tenant's histogram.
   Result<NearestResult> Assign(const std::string& name, const double* point);
 
   /// The m nearest centers of one point (see CenterIndex::AssignTopM).
-  /// Unbatched: runs on an acquired snapshot directly, bypassing the
-  /// batcher's queue (and therefore its admission bounds — top-m is the
-  /// low-rate analytical path, not the QPS path).
+  /// Runs on an acquired snapshot directly, bypassing the batcher (and
+  /// therefore its admission bounds — top-m is the low-rate analytical
+  /// path, not the QPS path).
   Result<int64_t> AssignTopM(const std::string& name, const double* point,
                              int64_t m, std::vector<int32_t>* out_index,
                              std::vector<double>* out_d2);
@@ -124,7 +122,7 @@ class ServerRegistry {
   Result<ModelServer*> server(const std::string& name);
 
   /// One tenant's full telemetry: batcher counters (queries / served /
-  /// shed / batches / adaptive limit), server counters (publishes /
+  /// shed / deadline misses), server counters (publishes /
   /// refines, plus the freshness signal — `server.serving_stale` and
   /// `server.staleness_ms` surface a refine loop that missed its SLO
   /// while the tenant keeps answering from the last good snapshot),

@@ -1,13 +1,11 @@
 // Pruned-index determinism tests: the two-level pruned CenterIndex is
-// BITWISE identical to the flat index in exact mode — every query
+// BITWISE identical to the flat index — every query
 // surface (AssignOne / AssignRange / AssignBatch / AssignTopM /
 // AssignTopMRange), every kernel regime (plain d < 32, expanded
 // d >= 32), every data regime (isotropic gaussian where pruning has no
 // power, clustered where it has lots), and adversarial duplicate-center
 // ties where the coarse clustering scatters equal-distance centers
-// across different groups. Approximate mode (approx_probes) is measured,
-// not asserted bitwise: recall is monotone in the probe budget and
-// saturates to exact.
+// across different groups.
 
 #include <gtest/gtest.h>
 
@@ -70,13 +68,11 @@ Matrix ClusteredMatrix(int64_t rows, int64_t cols, int64_t blobs,
   return m;
 }
 
-CenterIndexOptions PrunedOptions(int64_t num_groups = 0,
-                                 int64_t approx_probes = 0) {
+CenterIndexOptions PrunedOptions(int64_t num_groups = 0) {
   CenterIndexOptions o;
   o.enable_pruning = true;
   o.min_prune_k = 1;  // tests use small k; production default is 512
   o.num_groups = num_groups;
-  o.approx_probes = approx_probes;
   return o;
 }
 
@@ -232,38 +228,6 @@ TEST(PrunedIndexTest, AllIdenticalCentersDegenerate) {
   Matrix queries = RandomMatrix(50, 8, 17, 2.0);
   ExpectBitwiseEqual(*flat, *pruned, queries, "all-identical centers");
   EXPECT_EQ(pruned->AssignOne(queries.Row(0)).index, 0);
-}
-
-TEST(PrunedIndexTest, ApproxRecallMonotoneAndSaturating) {
-  Matrix centers = ClusteredMatrix(96, 48, 8, 41);
-  Matrix queries = ClusteredMatrix(400, 48, 8, 43);
-  const auto exact = CenterIndex::Build(Matrix(centers), PrunedOptions());
-  ASSERT_TRUE(exact->pruned());
-  const int64_t g = exact->num_groups();
-  ASSERT_GE(g, 2);
-
-  // Exact pruned mode measures recall 1.0 by the bitwise contract.
-  EXPECT_EQ(exact->MeasureApproxRecall(queries.view()), 1.0);
-
-  double prev = 0.0;
-  for (int64_t probes = 1; probes <= g; ++probes) {
-    const auto approx =
-        CenterIndex::Build(Matrix(centers), PrunedOptions(0, probes));
-    const double recall = approx->MeasureApproxRecall(queries.view());
-    EXPECT_GE(recall, 0.0);
-    EXPECT_LE(recall, 1.0);
-    // Probing the single best-bound group already lands most queries in
-    // clustered data; deeper probes only add candidates, and recall is
-    // monotone because the probe order is fixed per query.
-    EXPECT_GE(recall, prev) << "probes=" << probes;
-    prev = recall;
-  }
-  EXPECT_EQ(prev, 1.0) << "probing every group must saturate to exact";
-
-  // A probe budget >= the group count IS the exact scan, bitwise.
-  const auto full =
-      CenterIndex::Build(Matrix(centers), PrunedOptions(0, g + 10));
-  ExpectBitwiseEqual(*exact, *full, queries, "probes >= groups");
 }
 
 TEST(PrunedIndexTest, PruneStatsInvariants) {

@@ -1,10 +1,10 @@
 // Tests for the multi-tenant ServerRegistry: registration rules, named
 // routing (bitwise vs the underlying snapshot), per-tenant telemetry
-// accounting, adaptive batch sizing, and concurrent cross-tenant
-// traffic. The deeper isolation regressions (overload shedding leaves
-// other tenants untouched; publish-under-load leaves other snapshots
-// untouched) live in serving_test.cc next to the batcher semantics they
-// share machinery with; this suite covers the registry surface itself.
+// accounting, and concurrent cross-tenant traffic. The deeper isolation
+// regressions (overload shedding leaves other tenants untouched;
+// publish-under-load leaves other snapshots untouched) live in
+// serving_test.cc next to the batcher semantics they share machinery
+// with; this suite covers the registry surface itself.
 
 #include <atomic>
 #include <memory>
@@ -25,7 +25,6 @@ namespace {
 
 using serving::CenterIndex;
 using serving::ServerRegistry;
-using serving::TenantOptions;
 
 Matrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   rng::Rng rng(seed);
@@ -179,40 +178,6 @@ TEST(ServerRegistryTest, PublishMovesOnlyTheNamedTenant) {
   EXPECT_EQ(registry.AcquireSnapshot("b").ValueOrDie()->version(), 1u);
   EXPECT_EQ(registry.stats("a").ValueOrDie().server.publishes, 1);
   EXPECT_EQ(registry.stats("b").ValueOrDie().server.publishes, 0);
-}
-
-// Adaptive sizing is per-tenant state: a tenant configured adaptive
-// reports a limit within [min_batch, max_batch] once traffic has
-// flowed, and a non-adaptive tenant pins max_batch.
-TEST(ServerRegistryTest, AdaptiveBatchLimitStaysInRange) {
-  const int64_t k = 8, d = 4;
-  ServerRegistry registry;
-  TenantOptions adaptive;
-  adaptive.batcher.max_batch = 32;
-  adaptive.batcher.min_batch = 2;
-  adaptive.batcher.adaptive_batch = true;
-  TenantOptions fixed;
-  fixed.batcher.max_batch = 32;
-  ASSERT_TRUE(registry
-                  .Register("adaptive",
-                            CenterIndex::Build(RandomMatrix(k, d, 1)),
-                            adaptive)
-                  .ok());
-  ASSERT_TRUE(registry
-                  .Register("fixed", CenterIndex::Build(RandomMatrix(k, d, 2)),
-                            fixed)
-                  .ok());
-  const Matrix points = RandomMatrix(64, d, 3);
-  for (int64_t i = 0; i < 64; ++i) {
-    ASSERT_TRUE(registry.Assign("adaptive", points.Row(i)).ok());
-    ASSERT_TRUE(registry.Assign("fixed", points.Row(i)).ok());
-  }
-  const int64_t limit =
-      registry.stats("adaptive").ValueOrDie().batcher.adaptive_batch_limit;
-  EXPECT_GE(limit, 2);
-  EXPECT_LE(limit, 32);
-  EXPECT_EQ(registry.stats("fixed").ValueOrDie().batcher.adaptive_batch_limit,
-            32);
 }
 
 // Concurrent mixed traffic across tenants plus a concurrent Register:
