@@ -134,8 +134,8 @@ BENCHMARK(BM_TrackerAddCenters)
 
 // --- Panel cache: frozen panels vs per-call re-packing ------------------
 
-// Small-row-count regime (minibatch batches, streaming blocks, the
-// per-chunk ranges of a chunked parallel pass): each call scans only
+// Small-row-count regime (minibatch batches, the per-chunk ranges of a
+// chunked parallel pass): each call scans only
 // `n` rows against all k centers, so the O(k·d) packing is a large
 // fraction of the call. Freeze() packs once; the unfrozen path re-packs
 // on every FindRange. The README "panel cache" numbers come from here.
@@ -144,7 +144,7 @@ void PanelGrid(benchmark::internal::Benchmark* b) {
     b->Args({n, 256, 64});
   }
   b->Args({256, 256, 16});   // plain-kernel regime
-  b->Args({256, 1024, 64});  // many panels, streaming-block shape
+  b->Args({256, 1024, 64});  // many panels
 }
 
 void RunPanelCache(benchmark::State& state, bool frozen) {

@@ -1,50 +1,33 @@
-// Multi-tenant serving workload harness: YCSB-style skewed, mixed
-// operation streams against serving::ServerRegistry, modeled on
-// BonsaiKV's evaluation scheme (SNIPPETS.md §3 — skewed zipf datasets,
-// mixed op ratios, thread-scaling tables).
+// Deterministic gates for the multi-tenant serving front end and the
+// continuous-ingest pipeline, with EXACT counts; each violation exits 1
+// so ctest reports FAIL, never a silent skip. Workload generation is
+// YCSB-style (serving/workload.h): zipf-skewed tenants and queries over
+// an assign/topm/bulk mix, after BonsaiKV's evaluation scheme
+// (SNIPPETS.md §3). Throughput is perfbench's job (serve_zipf,
+// ingest_refine); these gates run in any build type.
 //
-// Three modes:
+//   workload_harness [--pruned]   generator replay is bitwise; a
+//       single-threaded mixed run serves every operation (exact
+//       per-tenant served/topm/bulk accounting, zero sheds, answers
+//       bitwise vs AssignOne, and with --pruned every tenant on the
+//       two-level pruned index, bitwise vs flat twins); a
+//       deterministically overloaded tenant sheds EXACTLY its over-limit
+//       queries while a cold tenant runs shed-free, and a publish to the
+//       cold tenant leaves the overloaded tenant's snapshot untouched.
+//   workload_harness --ingest     a LiveDataset (WAL + seal/compact)
+//       feeding a RefineLoop: exact appended/sealed/republished counts,
+//       bitwise row contents after reopen, checkpointed RefineLoop
+//       recovery, and bitwise served answers after the republishes.
 //
-//   * Bench mode (default; run a Release build): for each thread count
-//     in --threads, builds a fresh registry of --models tenants
-//     (k = --k, d = --d each), drives --ops operations split across the
-//     threads — each thread replaying its own deterministic
-//     WorkloadGenerator stream with zipf model-skew (--model_theta) and
-//     query-skew (--query_theta) and an assign/topm/bulk mix — while an
-//     optional publisher thread (--churn, default on) continuously
-//     republishes the hottest model, and prints a thread-scaling table
-//     (QPS, per-model p50/p95/p99 from the registry's tear-free
-//     histogram snapshots, shed counts, publish counts) plus a
-//     per-model breakdown at the highest thread count. Tables mirror to
-//     bench/out/*.tsv.
-//
-//   * --smoke (run under ctest, any build type): deterministic
-//     correctness gates with EXACT counts — generator replay is
-//     bitwise, a single-threaded mixed run must serve every operation
-//     (exact per-tenant served/topm/bulk accounting, zero sheds,
-//     answers bitwise vs AssignOne), and a deterministically overloaded
-//     tenant must shed EXACTLY its over-limit queries while a cold
-//     tenant runs shed-free and a publish to the cold tenant leaves the
-//     overloaded tenant's snapshot pointer and version untouched.
-//     Violations exit(1) so ctest reports FAIL, never a silent skip.
-//
-//   * --ingest: the continuous-ingest pipeline end to end — a producer
-//     appends batches into a LiveDataset (WAL + seal/compact) while a
-//     background RefineLoop republishes the "live" tenant and query
-//     threads keep assigning against it through the registry; prints
-//     ingest rate, refine/republish counts, and serve-side latency.
-//     With --smoke, a deterministic gate instead: EXACT
-//     appended/sealed/republished counts, bitwise row contents after
-//     reopen, checkpointed RefineLoop recovery, and bitwise served
-//     answers after the republishes (same exit(1) discipline).
+// --metrics-out=FILE and --trace-out=FILE then dump the Prometheus
+// exposition and the Chrome trace JSON, and check both against the
+// exact totals the gates drove.
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -55,11 +38,9 @@
 #include "common/fault_injection.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
-#include "common/timer.h"
 #include "common/trace.h"
 #include "data/live_dataset.h"
 #include "eval/args.h"
-#include "eval/table.h"
 #include "matrix/dataset_view.h"
 #include "matrix/matrix.h"
 #include "rng/rng.h"
@@ -82,7 +63,6 @@ using serving::ModelServer;
 using serving::RefineLoop;
 using serving::RefineLoopOptions;
 using serving::RefineStats;
-using serving::RequestBatcherOptions;
 using serving::ServerRegistry;
 using serving::TenantOptions;
 using serving::WorkloadGenerator;
@@ -113,125 +93,23 @@ void Expect(bool ok, const char* what) {
 }
 
 // Builds a registry of `num_models` tenants with per-model centers
-// (seeded by rank, so every run and every thread count serves identical
-// models) and returns it. Rank 0 is the zipf-hottest tenant. With
-// index_opts.enable_pruning the tenants serve from the two-level pruned
-// index (bitwise-identical answers in exact mode; see
+// (seeded by rank, so every run serves identical models) and no
+// admission limits, and returns it. Rank 0 is the zipf-hottest tenant.
+// With index_opts.enable_pruning the tenants serve from the two-level
+// pruned index (bitwise-identical answers in exact mode; see
 // src/serving/center_index.h).
 std::unique_ptr<ServerRegistry> BuildRegistry(
     int64_t num_models, int64_t k, int64_t d,
-    const RequestBatcherOptions& batcher,
-    const CenterIndexOptions& index_opts = CenterIndexOptions{}) {
+    const CenterIndexOptions& index_opts) {
   auto registry = std::make_unique<ServerRegistry>();
   for (int64_t m = 0; m < num_models; ++m) {
-    TenantOptions options;
-    options.batcher = batcher;
     const Status st = registry->Register(
         ModelName(m),
         CenterIndex::Build(RandomMatrix(k, d, 1000 + (uint64_t)m),
-                           index_opts, /*version=*/1),
-        options);
+                           index_opts, /*version=*/1));
     if (!st.ok()) Fail(st.message().c_str());
   }
   return registry;
-}
-
-struct LoadResult {
-  double elapsed_s = 0;
-  int64_t served = 0;  ///< successful ops of every kind
-  int64_t shed = 0;
-  int64_t publishes = 0;
-};
-
-// Drives `ops_total` operations (split evenly across `threads` worker
-// threads, each replaying WorkloadGenerator(spec, t)) against the
-// registry. With `churn`, a publisher thread republishes the hottest
-// model continuously — the swap-under-load regime the RCU snapshot path
-// is built for.
-LoadResult RunLoad(ServerRegistry& registry, const WorkloadSpec& spec,
-                   const Matrix& pool, int64_t threads, int64_t ops_total,
-                   bool churn, int64_t k, int64_t d,
-                   const CenterIndexOptions& index_opts = CenterIndexOptions{}) {
-  std::atomic<int64_t> served{0};
-  std::atomic<int64_t> shed{0};
-  std::atomic<bool> stop_churn{false};
-  std::atomic<int64_t> publishes{0};
-
-  std::thread publisher;
-  if (churn) {
-    publisher = std::thread([&] {
-      // Rebuild-and-swap the hot tenant as fast as Build allows; every
-      // publish is a full panel pack + norm pass off the read path.
-      const Matrix next = RandomMatrix(k, d, 4242);
-      uint64_t version = 2;
-      while (!stop_churn.load(std::memory_order_relaxed)) {
-        if (!registry.Publish(ModelName(0),
-                              CenterIndex::Build(next, index_opts, version++))
-                 .ok()) {
-          Fail("publish churn failed");
-        }
-        publishes.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
-      }
-    });
-  }
-
-  const int64_t per_thread = ops_total / threads;
-  WallTimer timer;
-  std::vector<std::thread> workers;
-  for (int64_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      WorkloadGenerator gen(spec, static_cast<uint64_t>(t));
-      std::vector<int32_t> topm_idx;
-      std::vector<double> topm_d2;
-      for (int64_t i = 0; i < per_thread; ++i) {
-        const WorkloadOp op = gen.Next();
-        const std::string name = ModelName(op.model);
-        switch (op.type) {
-          case WorkloadOpType::kAssignOne: {
-            Result<NearestResult> r = registry.Assign(name, pool.Row(op.row));
-            if (r.ok()) {
-              served.fetch_add(1, std::memory_order_relaxed);
-            } else if (r.status().IsUnavailable()) {
-              shed.fetch_add(1, std::memory_order_relaxed);
-            } else {
-              Fail(r.status().message().c_str());
-            }
-            break;
-          }
-          case WorkloadOpType::kAssignTopM: {
-            Result<int64_t> r = registry.AssignTopM(
-                name, pool.Row(op.row), spec.top_m, &topm_idx, &topm_d2);
-            if (!r.ok()) Fail(r.status().message().c_str());
-            served.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-          case WorkloadOpType::kBulk: {
-            const int64_t start = std::min<int64_t>(
-                op.row, pool.rows() - spec.bulk_rows);
-            InMemorySource block(
-                ConstMatrixView(pool.Row(std::max<int64_t>(start, 0)),
-                                std::min(spec.bulk_rows, pool.rows()),
-                                pool.cols()),
-                /*weights=*/nullptr, /*labels=*/nullptr);
-            Result<Assignment> r = registry.AssignBulk(name, block);
-            if (!r.ok()) Fail(r.status().message().c_str());
-            served.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  LoadResult out;
-  out.elapsed_s = timer.ElapsedSeconds();
-  stop_churn.store(true, std::memory_order_relaxed);
-  if (publisher.joinable()) publisher.join();
-  out.served = served.load();
-  out.shed = shed.load();
-  out.publishes = publishes.load();
-  return out;
 }
 
 // --- Observability outputs ------------------------------------------------
@@ -407,47 +285,38 @@ int64_t ValidateTraceJson(const std::string& json) {
   return events;
 }
 
-// Writes --metrics-out / --trace-out after a run. In smoke mode
-// (smoke_exact) this is itself a gate: the global registry's counters
-// must equal the exact totals the earlier gates drove, the exposition
-// must carry those values verbatim, and the trace JSON must validate —
-// with spans present in a KMEANSLL_TRACING=1 build and absent in an
-// =0 build (same ctest invocation passes in both, which is what the CI
-// tracing-off leg runs). With `registry` non-null the metrics file is
-// the full ServerRegistry exposition (per-tenant families + the global
-// section); otherwise the global section alone.
-void FinishObservability(const eval::Args& args, bool smoke_exact,
-                         ServerRegistry* registry) {
+// Writes --metrics-out / --trace-out after the gates, as a gate itself:
+// the global registry's counters must equal the exact totals the earlier
+// gates drove, the exposition (the process-wide section) must carry
+// those values verbatim, and the trace JSON must validate — with spans
+// present in a KMEANSLL_TRACING=1 build and absent in an =0 build (same
+// ctest invocation passes in both, which is what the CI tracing-off leg
+// runs).
+void FinishObservability(const eval::Args& args) {
   const std::string metrics_path = args.GetString("metrics-out", "");
   const std::string trace_path = args.GetString("trace-out", "");
   if (metrics_path.empty() && trace_path.empty()) return;
 
-  if (smoke_exact) {
-    Expect(GlobalCounterValue("kmll_batcher_queries_total") ==
-               g_smoke_expected.queries,
-           "global query counter must mirror the gates' exact total");
-    Expect(GlobalCounterValue("kmll_batcher_served_total") ==
-               g_smoke_expected.served,
-           "global served counter must mirror the gates' exact total");
-    Expect(GlobalCounterValue("kmll_batcher_shed_total") ==
-               g_smoke_expected.shed,
-           "global shed counter must mirror the gates' exact total");
-    Expect(GlobalCounterValue("kmll_serving_publishes_total") ==
-               g_smoke_expected.publishes,
-           "global publish counter must mirror the gates' exact total");
-  }
+  Expect(GlobalCounterValue("kmll_batcher_queries_total") ==
+             g_smoke_expected.queries,
+         "global query counter must mirror the gates' exact total");
+  Expect(GlobalCounterValue("kmll_batcher_served_total") ==
+             g_smoke_expected.served,
+         "global served counter must mirror the gates' exact total");
+  Expect(GlobalCounterValue("kmll_batcher_shed_total") ==
+             g_smoke_expected.shed,
+         "global shed counter must mirror the gates' exact total");
+  Expect(GlobalCounterValue("kmll_serving_publishes_total") ==
+             g_smoke_expected.publishes,
+         "global publish counter must mirror the gates' exact total");
 
-  const std::string text =
-      registry != nullptr ? registry->DumpPrometheusText()
-                          : MetricsRegistry::Global().DumpPrometheusText();
+  const std::string text = MetricsRegistry::Global().DumpPrometheusText();
   ValidatePrometheusText(text);
-  if (smoke_exact) {
-    const std::string served_line =
-        "kmll_batcher_served_total " +
-        std::to_string(g_smoke_expected.served) + "\n";
-    Expect(text.find(served_line) != std::string::npos,
-           "exposition must carry the exact served count");
-  }
+  const std::string served_line = "kmll_batcher_served_total " +
+                                  std::to_string(g_smoke_expected.served) +
+                                  "\n";
+  Expect(text.find(served_line) != std::string::npos,
+         "exposition must carry the exact served count");
   if (!metrics_path.empty()) {
     const Status written =
         AtomicWriteFile(metrics_path, text.data(), text.size());
@@ -460,17 +329,15 @@ void FinishObservability(const eval::Args& args, bool smoke_exact,
     trace::Tracer& tracer = trace::Tracer::Global();
     const std::string json = tracer.DumpChromeJson();
     const int64_t events = ValidateTraceJson(json);
-    if (smoke_exact) {
 #if KMEANSLL_TRACING
-      Expect(events > 0, "a traced smoke run must record spans");
-      Expect(tracer.DroppedCount() == 0,
-             "the smoke must not overflow the span ring");
-      Expect(events == tracer.RecordedCount(),
-             "every recorded span must be exported");
+    Expect(events > 0, "a traced smoke run must record spans");
+    Expect(tracer.DroppedCount() == 0,
+           "the smoke must not overflow the span ring");
+    Expect(events == tracer.RecordedCount(),
+           "every recorded span must be exported");
 #else
-      Expect(events == 0, "a KMEANSLL_TRACING=OFF build records no spans");
+    Expect(events == 0, "a KMEANSLL_TRACING=OFF build records no spans");
 #endif
-    }
     const Status written =
         AtomicWriteFile(trace_path, json.data(), json.size());
     if (!written.ok()) Fail(written.message().c_str());
@@ -479,125 +346,7 @@ void FinishObservability(const eval::Args& args, bool smoke_exact,
   }
 }
 
-// --- Bench mode ----------------------------------------------------------
-
-int RunBench(const eval::Args& args) {
-  const int64_t models = args.GetInt("models", 8);
-  const int64_t k = args.GetInt("k", 1024);
-  const int64_t d = args.GetInt("d", 64);
-  const int64_t ops = args.GetInt("ops", 64000);
-  const int64_t pool_rows = args.GetInt("queries", 4096);
-  const bool churn = args.GetBool("churn", true);
-
-  // --pruned serves every tenant from the two-level pruned index.
-  // min_prune_k drops to 1 so the flag takes effect at any --k.
-  CenterIndexOptions index_opts;
-  index_opts.enable_pruning = args.GetBool("pruned", false);
-  index_opts.min_prune_k = 1;
-  index_opts.num_groups = args.GetInt("groups", 0);
-
-  WorkloadSpec spec;
-  spec.num_models = models;
-  spec.model_theta = args.GetDouble("model_theta", 0.99);
-  spec.query_pool = pool_rows;
-  spec.query_theta = args.GetDouble("query_theta", 0.8);
-  spec.mix.assign_one = args.GetDouble("assign", 0.90);
-  spec.mix.top_m = args.GetDouble("topm", 0.05);
-  spec.mix.bulk = args.GetDouble("bulk", 0.05);
-  spec.top_m = args.GetInt("m", 4);
-  spec.bulk_rows = args.GetInt("bulk_rows", 256);
-  spec.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-
-  const Matrix pool = RandomMatrix(pool_rows, d, 77);
-  RequestBatcherOptions batcher;
-  batcher.max_pending = args.GetInt("max_pending", 0);
-  batcher.max_latency_us = args.GetInt("max_latency_us", 0);
-
-  std::printf(
-      "workload_harness: %" PRId64 " models, k=%" PRId64 " d=%" PRId64
-      ", %" PRId64 " ops, model_theta=%.2f query_theta=%.2f "
-      "mix=%.2f/%.2f/%.2f churn=%d pruned=%d\n\n",
-      models, k, d, ops, spec.model_theta, spec.query_theta,
-      spec.mix.assign_one, spec.mix.top_m, spec.mix.bulk, churn ? 1 : 0,
-      index_opts.enable_pruning ? 1 : 0);
-
-  eval::TablePrinter scaling(
-      {"threads", "elapsed_s", "qps", "served", "shed", "publishes",
-       "hot_p50_us", "hot_p95_us", "hot_p99_us"});
-
-  std::vector<int64_t> thread_counts;
-  {
-    // --threads=8 runs {1,2,4,8}; --threads_exact=N runs just N.
-    const int64_t max_threads = args.GetInt("threads", 8);
-    if (args.Has("threads_exact")) {
-      thread_counts.push_back(args.GetInt("threads_exact", 1));
-    } else {
-      for (int64_t t = 1; t <= max_threads; t *= 2) {
-        thread_counts.push_back(t);
-      }
-    }
-  }
-
-  ServerRegistry* last_registry = nullptr;
-  std::unique_ptr<ServerRegistry> keep_alive;
-  for (const int64_t threads : thread_counts) {
-    keep_alive = BuildRegistry(models, k, d, batcher, index_opts);
-    last_registry = keep_alive.get();
-    const LoadResult r = RunLoad(*keep_alive, spec, pool, threads, ops,
-                                 churn, k, d, index_opts);
-    const auto hot = keep_alive->stats(ModelName(0));
-    if (!hot.ok()) Fail("missing hot-model stats");
-    const auto& lat = hot.ValueOrDie().latency;
-    scaling.AddRow({eval::CellInt(threads), eval::Cell(r.elapsed_s),
-                    eval::CellInt(static_cast<int64_t>(
-                        static_cast<double>(r.served) / r.elapsed_s)),
-                    eval::CellInt(r.served), eval::CellInt(r.shed),
-                    eval::CellInt(r.publishes),
-                    eval::CellInt(lat.PercentileValue(50.0)),
-                    eval::CellInt(lat.PercentileValue(95.0)),
-                    eval::CellInt(lat.PercentileValue(99.0))});
-  }
-  std::printf("Thread scaling (total ops fixed; zipf skew):\n");
-  scaling.Print(std::cout);
-  (void)scaling.WriteTsv(eval::TsvOutputPath("workload_scaling"));
-
-  // Per-model breakdown at the last (highest) thread count: the zipf
-  // skew should be visible as a hot head and a cold tail.
-  // Prune columns report the CURRENT snapshot's counters (publish/swap
-  // resets them): groups the triangle-inequality bound skipped vs
-  // scanned, and exact fallbacks (flat-path queries on a tenant whose
-  // index asked for pruning but fell below min_prune_k).
-  eval::TablePrinter breakdown(
-      {"model", "assign", "topm", "bulk_ops", "shed", "p50_us", "p95_us",
-       "p99_us", "max_us", "publishes", "prune_g", "g_scan", "g_pruned",
-       "fallback"});
-  for (int64_t m = 0; m < models; ++m) {
-    const auto st = last_registry->stats(ModelName(m));
-    if (!st.ok()) Fail("missing model stats");
-    const ServerRegistry::TenantStats& s = st.ValueOrDie();
-    breakdown.AddRow(
-        {ModelName(m), eval::CellInt(s.batcher.served),
-         eval::CellInt(s.topm_queries), eval::CellInt(s.bulk_queries),
-         eval::CellInt(s.batcher.shed),
-         eval::CellInt(s.latency.PercentileValue(50.0)),
-         eval::CellInt(s.latency.PercentileValue(95.0)),
-         eval::CellInt(s.latency.PercentileValue(99.0)),
-         eval::CellInt(s.latency.max), eval::CellInt(s.server.publishes),
-         eval::CellInt(s.pruned ? s.prune_groups : 0),
-         eval::CellInt(s.prune.groups_scanned),
-         eval::CellInt(s.prune.groups_pruned),
-         eval::CellInt(s.prune.exact_fallbacks)});
-  }
-  std::printf("\nPer-model breakdown at %" PRId64 " threads:\n",
-              thread_counts.back());
-  breakdown.Print(std::cout);
-  (void)breakdown.WriteTsv(eval::TsvOutputPath("workload_models"));
-
-  FinishObservability(args, /*smoke_exact=*/false, last_registry);
-  return 0;
-}
-
-// --- Smoke mode ----------------------------------------------------------
+// --- Serving gates -------------------------------------------------------
 
 // Gate 1: the generator determinism contract, bitwise.
 void SmokeDeterminism() {
@@ -635,8 +384,7 @@ void SmokeMixedServe(const CenterIndexOptions& index_opts) {
   spec.seed = 999;
 
   // No admission limits: nothing sheds.
-  auto registry =
-      BuildRegistry(models, k, d, RequestBatcherOptions{}, index_opts);
+  auto registry = BuildRegistry(models, k, d, index_opts);
   const Matrix pool = RandomMatrix(pool_rows, d, 77);
 
   // Flat twins of every tenant (same seeded centers, pruning off) for
@@ -789,8 +537,8 @@ void SmokeMixedServe(const CenterIndexOptions& index_opts) {
 // the fault hooks compiled in.
 void SmokeOverloadIsolation() {
 #if !KMEANSLL_FAULT_INJECTION
-  std::printf("workload_harness --smoke: overload gate skipped (fault "
-              "hooks compiled out)\n");
+  std::printf("workload_harness: overload gate skipped (fault hooks "
+              "compiled out)\n");
   return;
 #endif
   const int64_t k = 16, d = 8;
@@ -887,7 +635,7 @@ void SmokeOverloadIsolation() {
   g_smoke_expected.publishes += 1;
 }
 
-int RunSmoke(bool pruned) {
+void RunSmoke(bool pruned) {
   SmokeDeterminism();
   CenterIndexOptions index_opts;
   if (pruned) {
@@ -901,12 +649,11 @@ int RunSmoke(bool pruned) {
   }
   SmokeMixedServe(index_opts);
   SmokeOverloadIsolation();
-  std::printf("workload_harness --smoke%s: all gates passed\n",
+  std::printf("workload_harness%s: all gates passed\n",
               pruned ? " --pruned" : "");
-  return 0;
 }
 
-// --- Ingest mode ----------------------------------------------------------
+// --- Ingest gate ----------------------------------------------------------
 
 // Deterministic row content: coordinate j of global row r is a pure
 // function of (r, j), so any append schedule — and any crash/replay
@@ -973,7 +720,7 @@ RefineLoopOptions SmokeLoopOptions(int64_t k, const std::string& ckpt) {
   return opts;
 }
 
-// Gate 4 (--smoke --ingest): the continuous-ingest pipeline with EXACT
+// Gate 4 (--ingest): the continuous-ingest pipeline with EXACT
 // counts. 12 batches x 8 rows through a LiveDataset with 16-row shards,
 // sealing every 3rd batch and refining after each seal, must produce
 // exactly 4 seals (16/32/16/32 sealed rows), 4 refine cycles, and 4
@@ -1113,158 +860,24 @@ void SmokeIngest() {
   std::remove(ckpt.c_str());
 }
 
-int RunSmokeIngest() {
-  SmokeIngest();
-  std::printf("workload_harness --smoke --ingest: all gates passed\n");
-  return 0;
-}
-
-// Bench: producer appends into the LiveDataset (sealing every
-// --seal_every batches) while the background RefineLoop republishes the
-// "live" tenant and --threads query threads assign against it.
-int RunIngestBench(const eval::Args& args) {
-  const int64_t d = args.GetInt("d", 16);
-  const int64_t k = args.GetInt("k", 64);
-  const int64_t batch_rows = args.GetInt("batch_rows", 512);
-  const int64_t batches = args.GetInt("batches", 256);
-  const int64_t seal_every = args.GetInt("seal_every", 8);
-  const int64_t threads = args.GetInt("threads", 4);
-  const int64_t pool_rows = args.GetInt("queries", 1024);
-
-  const std::string base = args.GetString(
-      "base", IngestBasePath("kmll_workload_ingest_bench"));
-  const std::string ckpt = base + ".freshness.ckpt";
-  RemoveLiveFiles(base);
-  std::remove(ckpt.c_str());
-
-  LiveDatasetOptions live_opts;
-  live_opts.rows_per_shard = args.GetInt("rows_per_shard", 4096);
-  auto opened = LiveDataset::Open(base, d, /*has_weights=*/false, live_opts);
-  if (!opened.ok()) Fail(opened.status().message().c_str());
-  LiveDataset live = std::move(opened).ValueOrDie();
-
-  auto registry = std::make_unique<ServerRegistry>();
-  if (!registry
-           ->Register("live", CenterIndex::Build(RandomMatrix(k, d, 17),
-                                                 /*version=*/1))
-           .ok()) {
-    Fail("register live tenant");
-  }
-  ModelServer* server = registry->server("live").ValueOrDie();
-
-  RefineLoopOptions loop_opts;
-  loop_opts.seed = static_cast<uint64_t>(args.GetInt("seed", 0xF00D));
-  loop_opts.min_new_rows = live_opts.rows_per_shard;
-  loop_opts.minibatch.batch_size = args.GetInt("mb_batch", 256);
-  loop_opts.minibatch.iterations = args.GetInt("mb_iters", 20);
-  loop_opts.reseed.k = k;
-  loop_opts.checkpoint_path = ckpt;
-  loop_opts.freshness_slo_ms = args.GetInt("slo_ms", 0);
-  loop_opts.tick_ms = args.GetInt("tick_ms", 5);
-  RefineLoop loop(server, &live, loop_opts);
-  loop.Start();
-
-  std::printf(
-      "workload_harness --ingest: %" PRId64 " batches x %" PRId64
-      " rows, d=%" PRId64 " k=%" PRId64 ", seal_every=%" PRId64
-      ", rows_per_shard=%" PRId64 ", %" PRId64 " query threads\n\n",
-      batches, batch_rows, d, k, seal_every, live_opts.rows_per_shard,
-      threads);
-
-  const Matrix pool = RandomMatrix(pool_rows, d, 77);
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> served{0}, shed{0};
-  std::vector<std::thread> readers;
-  for (int64_t t = 0; t < threads; ++t) {
-    readers.emplace_back([&, t] {
-      int64_t i = t;
-      while (!stop.load(std::memory_order_relaxed)) {
-        Result<NearestResult> r =
-            registry->Assign("live", pool.Row(i % pool_rows));
-        if (r.ok()) {
-          served.fetch_add(1, std::memory_order_relaxed);
-        } else if (r.status().IsUnavailable()) {
-          shed.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          Fail(r.status().message().c_str());
-        }
-        ++i;
-      }
-    });
-  }
-
-  WallTimer timer;
-  rng::Rng rng(static_cast<uint64_t>(args.GetInt("seed", 0xF00D)));
-  std::vector<double> batch(static_cast<size_t>(batch_rows * d));
-  for (int64_t i = 0; i < batches; ++i) {
-    for (double& v : batch) v = rng.NextGaussian();
-    IngestAppend(live, batch, batch_rows);
-    if ((i + 1) % seal_every == 0 && !live.Seal().ok()) Fail("seal failed");
-  }
-  if (!live.Seal().ok()) Fail("final seal failed");
-  const double ingest_s = timer.ElapsedSeconds();
-
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& r : readers) r.join();
-  loop.Stop();
-
-  const IngestStats ing = live.ingest_stats();
-  const RefineStats rs = loop.stats();
-  const ModelServer::Stats ss = server->stats();
-  const auto tenant = registry->stats("live");
-  if (!tenant.ok()) Fail("missing tenant stats");
-  const auto& lat = tenant.ValueOrDie().latency;
-
-  eval::TablePrinter table(
-      {"rows", "ingest_s", "rows_per_s", "seals", "sealed", "cycles",
-       "minibatch", "reseeds", "publishes", "slo_miss", "served", "shed",
-       "qps", "p50_us", "p95_us", "p99_us"});
-  table.AddRow(
-      {eval::CellInt(ing.appended_rows), eval::Cell(ingest_s),
-       eval::CellInt(static_cast<int64_t>(
-           static_cast<double>(ing.appended_rows) / ingest_s)),
-       eval::CellInt(ing.seals), eval::CellInt(ing.sealed_rows),
-       eval::CellInt(rs.cycles), eval::CellInt(rs.minibatch_refines),
-       eval::CellInt(rs.reseeds), eval::CellInt(ss.publishes),
-       eval::CellInt(rs.slo_misses), eval::CellInt(served.load()),
-       eval::CellInt(shed.load()),
-       eval::CellInt(static_cast<int64_t>(
-           static_cast<double>(served.load()) / ingest_s)),
-       eval::CellInt(lat.PercentileValue(50.0)),
-       eval::CellInt(lat.PercentileValue(95.0)),
-       eval::CellInt(lat.PercentileValue(99.0))});
-  std::printf("Ingest + refine + serve (one live tenant):\n");
-  table.Print(std::cout);
-  (void)table.WriteTsv(eval::TsvOutputPath("workload_ingest"));
-
-  FinishObservability(args, /*smoke_exact=*/false, registry.get());
-
-  RemoveLiveFiles(base);
-  std::remove(ckpt.c_str());
-  return 0;
-}
-
 }  // namespace
 }  // namespace kmeansll
 
 int main(int argc, char** argv) {
   kmeansll::eval::Args args(argc, argv);
   // --trace-out enables span collection for the whole run; the file is
-  // validated and written after the mode finishes. --metrics-out dumps
-  // the Prometheus exposition the same way. In smoke mode the two flags
-  // turn the dump itself into a gate (exact counter cross-checks).
+  // validated and written after the gates finish, and --metrics-out
+  // dumps the Prometheus exposition the same way (both cross-checked
+  // against the gates' exact counts).
   if (!args.GetString("trace-out", "").empty()) {
     kmeansll::trace::Tracer::Global().Enable();
   }
-  const bool ingest = args.GetBool("ingest", false);
-  if (args.GetBool("smoke", false)) {
-    const int rc = ingest ? kmeansll::RunSmokeIngest()
-                          : kmeansll::RunSmoke(args.GetBool("pruned", false));
-    if (rc != 0) return rc;
-    kmeansll::FinishObservability(args, /*smoke_exact=*/true,
-                                  /*registry=*/nullptr);
-    return 0;
+  if (args.GetBool("ingest", false)) {
+    kmeansll::SmokeIngest();
+    std::printf("workload_harness --ingest: all gates passed\n");
+  } else {
+    kmeansll::RunSmoke(args.GetBool("pruned", false));
   }
-  if (ingest) return kmeansll::RunIngestBench(args);
-  return kmeansll::RunBench(args);
+  kmeansll::FinishObservability(args);
+  return 0;
 }

@@ -68,26 +68,15 @@ Result<Matrix> ReclusterCandidates(const Matrix& candidates,
   return centers;
 }
 
-}  // namespace internal
-
-Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
-                                rng::Rng rng,
-                                const KMeansLLOptions& options,
-                                ThreadPool* pool, const double* point_norms) {
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  if (k > data.n()) {
-    return Status::InvalidArgument("k=" + std::to_string(k) +
-                                   " exceeds n=" + std::to_string(data.n()));
-  }
-  if (options.rounds != KMeansLLOptions::kAutoRounds && options.rounds < 0) {
-    return Status::InvalidArgument("rounds must be >= 0 or kAutoRounds");
-  }
-  KMEANSLL_ASSIGN_OR_RETURN(
-      double ell, internal::ResolveOversampling(options.oversampling, k));
+Result<OversampledCandidates> OversampleCandidates(
+    const DatasetSource& data, int64_t k, rng::Rng rng,
+    const KMeansLLOptions& options, ThreadPool* pool,
+    const double* point_norms) {
+  KMEANSLL_ASSIGN_OR_RETURN(double ell,
+                            ResolveOversampling(options.oversampling, k));
 
   WallTimer timer;
-  InitResult result;
-  result.centers = Matrix(data.dim());
+  OversampledCandidates result;
 
   // Checkpoint/resume: every draw below is a pure function of
   // (rng root, round, point index), so a seeding checkpoint needs only
@@ -158,7 +147,7 @@ Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
     result.telemetry.round_potentials.push_back(psi);
   }
 
-  const int64_t rounds = internal::ResolveRounds(options.rounds, psi);
+  const int64_t rounds = ResolveRounds(options.rounds, psi);
   const auto ell_int =
       static_cast<int64_t>(std::llround(std::ceil(ell)));
 
@@ -258,22 +247,50 @@ Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
   KMEANSLL_RETURN_NOT_OK(data.status());
   if (ckpt_enabled) (void)RemoveFileIfExists(options.checkpoint_path);
 
+  result.candidates = std::move(candidates);
+  result.weights = std::move(weights);
+  return result;
+}
+
+}  // namespace internal
+
+Result<InitResult> KMeansLLInit(const DatasetSource& data, int64_t k,
+                                rng::Rng rng,
+                                const KMeansLLOptions& options,
+                                ThreadPool* pool, const double* point_norms) {
+  if (k <= 0) return Status::InvalidArgument("k must be positive");
+  if (k > data.n()) {
+    return Status::InvalidArgument("k=" + std::to_string(k) +
+                                   " exceeds n=" + std::to_string(data.n()));
+  }
+  if (options.rounds != KMeansLLOptions::kAutoRounds && options.rounds < 0) {
+    return Status::InvalidArgument("rounds must be >= 0 or kAutoRounds");
+  }
+
+  // Steps 1–7.
+  KMEANSLL_ASSIGN_OR_RETURN(
+      internal::OversampledCandidates sampled,
+      internal::OversampleCandidates(data, k, rng, options, pool,
+                                     point_norms));
+  InitResult result;
+  result.telemetry = std::move(sampled.telemetry);
+
   // Step 8: recluster to k (skipped when we undershot; see header).
-  if (candidates.rows() <= k) {
-    if (candidates.rows() < k) {
+  if (sampled.candidates.rows() <= k) {
+    if (sampled.candidates.rows() < k) {
       KMEANSLL_LOG(Warning)
-          << "k-means|| selected " << candidates.rows()
+          << "k-means|| selected " << sampled.candidates.rows()
           << " candidates < k=" << k
           << " (r*ell too small); returning them without reclustering";
     }
-    result.centers = std::move(candidates);
+    result.centers = std::move(sampled.candidates);
     return result;
   }
 
   KMEANSLL_ASSIGN_OR_RETURN(
       result.centers,
-      internal::ReclusterCandidates(candidates, weights, k, rng, options,
-                                    &result.telemetry));
+      internal::ReclusterCandidates(sampled.candidates, sampled.weights, k,
+                                    rng, options, &result.telemetry));
   return result;
 }
 

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "clustering/init_kmeanspp.h"
 #include "clustering/types.h"
@@ -116,6 +117,31 @@ Result<double> ResolveOversampling(double oversampling, int64_t k);
 /// Resolves the round count, applying the kAutoRounds schedule given the
 /// initial potential ψ.
 int64_t ResolveRounds(int64_t rounds, double psi);
+
+/// Output of Steps 1–7: the oversampled candidates and their weights.
+struct OversampledCandidates {
+  /// Data rows in selection order: the Step-1 point, then each round's
+  /// picks in ascending row order.
+  Matrix candidates;
+  /// Step 7: weights[c] is the total weight of the points whose closest
+  /// candidate is c, so the weights partition the data's total weight.
+  /// With `candidates` this is the weighted set Step 8 reclusters, a
+  /// small stand-in for the data (Theorem 1).
+  std::vector<double> weights;
+  /// Everything KMeansLLInit reports except recluster_seconds.
+  InitTelemetry telemetry;
+};
+
+/// Steps 1–7 of Algorithm 2, with the seeding checkpoint and resume of
+/// KMeansLLOptions::checkpoint_path: KMeansLLInit is argument checks,
+/// this routine, then Step 8. Expects 1 <= k <= data.n() and rounds >= 0
+/// or kAutoRounds (KMeansLLInit checks both). `pool` and `point_norms`
+/// are as for KMeansLLInit; the output is bitwise the same at any pool
+/// size and for any source over the same rows.
+Result<OversampledCandidates> OversampleCandidates(
+    const DatasetSource& data, int64_t k, rng::Rng rng,
+    const KMeansLLOptions& options, ThreadPool* pool = nullptr,
+    const double* point_norms = nullptr);
 
 /// Step 8: weight the candidates and recluster to k centers. `weights`
 /// holds, for each candidate, the total point weight attracted to it.

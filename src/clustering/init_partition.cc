@@ -97,13 +97,6 @@ std::vector<int64_t> KMeansSharp(const DatasetSource& data, int64_t begin,
   return selected;
 }
 
-std::vector<int64_t> KMeansSharp(const Dataset& data, int64_t begin,
-                                 int64_t end, int64_t batch,
-                                 int64_t iterations, rng::Rng rng) {
-  InMemorySource source = data.AsSource();
-  return KMeansSharp(source, begin, end, batch, iterations, rng);
-}
-
 }  // namespace internal
 
 Result<InitResult> PartitionInit(const DatasetSource& data, int64_t k,
@@ -183,12 +176,13 @@ Result<InitResult> PartitionInit(const DatasetSource& data, int64_t k,
   Matrix candidates = GatherPoints(data, all_selected);
   result.telemetry.sampling_seconds = timer.ElapsedSeconds();
 
-  // Phase 2 (sequential): vanilla weighted k-means++ on the union.
+  // Phase 2 (sequential): recluster the weighted union to k.
   if (candidates.rows() <= k) {
     result.centers = std::move(candidates);
     return result;
   }
-  KMeansLLOptions recluster_options;  // defaults: pure weighted k-means++
+  // Defaults: weighted k-means++, then 30 weighted Lloyd iterations.
+  KMeansLLOptions recluster_options;
   KMEANSLL_ASSIGN_OR_RETURN(
       result.centers,
       internal::ReclusterCandidates(candidates, weights, k, rng,

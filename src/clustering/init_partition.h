@@ -5,8 +5,9 @@
 // k-means#: an over-seeded k-means++ variant that selects 3·ln k points in
 // each of k iterations (first batch uniform, later batches D²-weighted).
 // Every selected center is weighted by the group points it attracts, and
-// vanilla (weighted) k-means++ reclusters the union of the ~3·m·k·ln k
-// centers down to k.
+// k-means||'s Step 8 with default KMeansLLOptions reclusters the union of
+// the ~3·m·k·ln k centers down to k: weighted k-means++, then 30 weighted
+// Lloyd iterations.
 //
 // With the memory/time-optimal m = sqrt(n/k), the intermediate set has
 // expected size 3·sqrt(nk)·ln k — orders of magnitude larger than
@@ -53,9 +54,6 @@ namespace internal {
 /// Runs k-means# on rows [begin, end) of `data`; returns selected row
 /// indices (global). Exposed for unit tests.
 std::vector<int64_t> KMeansSharp(const DatasetSource& data, int64_t begin,
-                                 int64_t end, int64_t batch,
-                                 int64_t iterations, rng::Rng rng);
-std::vector<int64_t> KMeansSharp(const Dataset& data, int64_t begin,
                                  int64_t end, int64_t batch,
                                  int64_t iterations, rng::Rng rng);
 

@@ -53,17 +53,18 @@ uint64_t Mix(uint64_t x) {
 struct FaultInjector::Impl {
   struct Site {
     FaultRule rule;
-    std::atomic<uint64_t> calls{0};
-    std::atomic<uint64_t> fired{0};
+    uint64_t calls = 0;
+    uint64_t fired = 0;
   };
 
   std::atomic<bool> armed{false};
   std::atomic<uint64_t> triggered{0};
-  uint64_t seed = 0;
 
-  // Guards the map shape only; per-call state is atomic. Sites are armed
-  // up front by tests, so Check never takes this on the fast path.
+  // Guards the seed, the sites map and every site's rule and counters:
+  // an armed call decides under it, so Arm and Reset may race callers.
+  // A disarmed injector never takes it.
   mutable std::mutex mu;
+  uint64_t seed = 0;
   std::map<std::string, Site, std::less<>> sites;
 };
 
@@ -82,8 +83,8 @@ void FaultInjector::Seed(uint64_t seed) {
   std::lock_guard<std::mutex> lock(i->mu);
   i->seed = seed;
   for (auto& [name, site] : i->sites) {
-    site.calls.store(0, std::memory_order_relaxed);
-    site.fired.store(0, std::memory_order_relaxed);
+    site.calls = 0;
+    site.fired = 0;
   }
   i->triggered.store(0, std::memory_order_relaxed);
 }
@@ -93,8 +94,8 @@ void FaultInjector::Arm(std::string site, FaultRule rule) {
   std::lock_guard<std::mutex> lock(i->mu);
   Impl::Site& s = i->sites[std::move(site)];
   s.rule = rule;
-  s.calls.store(0, std::memory_order_relaxed);
-  s.fired.store(0, std::memory_order_relaxed);
+  s.calls = 0;
+  s.fired = 0;
   i->armed.store(true, std::memory_order_release);
 }
 
@@ -121,37 +122,28 @@ bool FaultInjector::ShouldFail(std::string_view site, FaultKind* out_kind,
                                int64_t* out_slow_us) {
   Impl* i = impl();
   if (!i->armed.load(std::memory_order_acquire)) return false;
-  Impl::Site* s = nullptr;
-  uint64_t seed = 0;
-  {
-    std::lock_guard<std::mutex> lock(i->mu);
-    auto it = i->sites.find(site);
-    if (it == i->sites.end()) return false;
-    s = &it->second;
-    seed = i->seed;
-  }
+  std::lock_guard<std::mutex> lock(i->mu);
+  auto it = i->sites.find(site);
+  if (it == i->sites.end()) return false;
+  Impl::Site& s = it->second;
   // 1-based call ordinal at this site. With concurrent callers the
   // *assignment* of ordinals to threads is racy, but every ordinal is
   // claimed exactly once, so "fail the Nth call" and "fail p of the
   // calls" both trigger a deterministic set of ordinals.
-  const uint64_t call =
-      s->calls.fetch_add(1, std::memory_order_relaxed) + 1;
-  const FaultRule& rule = s->rule;
+  const uint64_t call = ++s.calls;
+  const FaultRule& rule = s.rule;
   bool fire = false;
   if (rule.nth_call > 0) {
     fire = (call == rule.nth_call);
   } else if (rule.probability > 0.0) {
-    const uint64_t h = Mix(seed ^ Mix(HashSite(site) ^ call));
+    const uint64_t h = Mix(i->seed ^ Mix(HashSite(site) ^ call));
     const double u =
         static_cast<double>(h >> 11) * 0x1.0p-53;  // uniform [0,1)
     fire = (u < rule.probability);
   }
   if (!fire) return false;
-  if (rule.max_triggers > 0) {
-    // Claim a trigger slot; lose the race past the cap -> no fault.
-    const uint64_t n = s->fired.fetch_add(1, std::memory_order_relaxed);
-    if (n >= rule.max_triggers) return false;
-  }
+  // Past the cap the rule stops firing.
+  if (rule.max_triggers > 0 && s.fired++ >= rule.max_triggers) return false;
   i->triggered.fetch_add(1, std::memory_order_relaxed);
   if (out_kind != nullptr) *out_kind = rule.kind;
   if (out_slow_us != nullptr) *out_slow_us = rule.slow_io_us;

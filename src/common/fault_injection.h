@@ -70,8 +70,10 @@ struct FaultRule {
 
 /// Process-wide injector. Disarmed (no rules) by default; tests arm
 /// sites via Arm()/Seed() and Reset() in teardown. All methods are
-/// thread-safe; the per-site call counters are atomics so the decision
-/// for the Nth call at a site does not depend on which thread makes it.
+/// thread-safe and may race each other: an armed site's decision (its
+/// rule, call counter and trigger count) is made under one mutex, so the
+/// Nth call at a site fires whichever thread makes it. A disarmed
+/// injector answers with one atomic load and takes no lock.
 class FaultInjector {
  public:
   /// The process-wide instance used by the Check/CheckKind helpers.

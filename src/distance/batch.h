@@ -1,10 +1,10 @@
 // Blocked batch-distance engine: the shared O(n·k·d) kernel layer.
 //
 // Every hot path in the library — k-means|| round updates, k-means++
-// seeding, Lloyd assignment, cost evaluation, minibatch, streaming
-// compression, the MapReduce map phases and serving — reduces to the
-// same scan: "for a block of points and a block of centers, compute each
-// point's distances and reduce them". This header provides that scan
+// seeding, Lloyd assignment, cost evaluation, minibatch, the Partition
+// baseline's k-means#, the MapReduce map phases and serving — reduces to
+// the same scan: "for a block of points and a block of centers, compute
+// each point's distances and reduce them". This header provides that scan
 // once, tiled for cache reuse and register-blocked for ILP, instead of
 // the one-point × one-center loops each call site used to carry. Three
 // reductions share one loop nest and one set of micro-kernels: nearest
@@ -24,8 +24,8 @@
 //    block, so panels stay L1-resident while points stream through
 //    exactly once per panel. Panels can be packed once and reused across
 //    calls (CenterPanels) — the packing cost matters when callers scan
-//    few rows per call (minibatch batches, streaming blocks, the
-//    per-chunk ranges of a parallel pass).
+//    few rows per call (minibatch batches, the per-chunk ranges of a
+//    parallel pass).
 //  * Register micro-kernel: kMicroPoints points × one panel of
 //    kCenterTile centers are accumulated simultaneously in independent
 //    chains (explicit AVX2+FMA on capable x86-64, selected once at
@@ -101,9 +101,9 @@ enum class BatchKernel { kAuto, kPlain, kExpanded };
 /// Packing is O(k·d) — trivial next to one n·k·d scan, but a scan that
 /// covers only a small row range pays it in full, and a chunked parallel
 /// pass used to pay it once per chunk (~kDeterministicChunks times per
-/// pass). Callers with a frozen center set (Lloyd assignment, minibatch,
-/// streaming compression) pack once and hand the panels to every
-/// FindRange-style call; NearestCenterSearch::Freeze wraps exactly that.
+/// pass). Callers with a frozen center set (Lloyd assignment, minibatch)
+/// pack once and hand the panels to every FindRange-style call;
+/// NearestCenterSearch::Freeze wraps exactly that.
 ///
 /// Panels hold bitwise copies of the center coordinates, so scanning via
 /// packed panels is bitwise identical to scanning the source matrix.

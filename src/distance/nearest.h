@@ -8,8 +8,7 @@
 // every O(n·k·d) consumer in the library uses. Freeze() additionally
 // caches the engine's packed center panels inside the search, so
 // repeated batch queries against the same centers — chunked parallel
-// passes, minibatch iterations, streaming blocks — stop re-packing the
-// panels per call.
+// passes, minibatch iterations — stop re-packing the panels per call.
 //
 // MinDistanceTracker maintains d²(x, C) for every point x while C grows —
 // the data structure behind both k-means++ (Algorithm 1) and each round of

@@ -1,6 +1,6 @@
 // Console table printer and TSV writer for the benchmark harnesses. Each
 // bench prints paper-style rows to stdout and mirrors them into
-// bench/out/*.tsv for plotting.
+// bench_out/*.tsv for plotting.
 
 #ifndef KMEANSLL_EVAL_TABLE_H_
 #define KMEANSLL_EVAL_TABLE_H_
@@ -39,7 +39,7 @@ std::string Cell(double value, int precision = 3);
 std::string CellScaled(double value, double scale, int precision = 0);
 std::string CellInt(int64_t value);
 
-/// Creates bench/out/ (relative to the working directory) if needed and
+/// Creates bench_out/ (relative to the working directory) if needed and
 /// returns "<dir>/<name>.tsv".
 std::string TsvOutputPath(const std::string& name);
 

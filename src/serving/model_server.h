@@ -23,9 +23,9 @@
 // bench/bm_serving.cc's SwapUnderLoad measures the real cost: reader QPS
 // under continuous swaps vs. undisturbed. This is the multi-version read
 // path the serving layer needs when a background refinement pass
-// (minibatch/streaming) periodically republishes centers (cf. snapshot-
-// versioned index structures like MV-PBT: lookups proceed untouched
-// while a writer installs the next version).
+// (serving/freshness.h's RefineLoop) periodically republishes centers
+// (cf. snapshot-versioned index structures like MV-PBT: lookups proceed
+// untouched while a writer installs the next version).
 //
 // RequestBatcher is the admission gate in front of single-point
 // queries. Every admitted query scans on its caller's thread
@@ -103,7 +103,7 @@ class ModelServer {
 
   /// Builds the next model from the current one. The hook sees the
   /// current snapshot and returns refined centers (e.g. one
-  /// minibatch/streaming pass); the server builds a fresh index tagged
+  /// minibatch pass); the server builds a fresh index tagged
   /// version + 1 and publishes it. Refiners are serialized; readers are
   /// never blocked. On hook failure nothing is published.
   using RefineFn = std::function<Result<Matrix>(const CenterIndex&)>;

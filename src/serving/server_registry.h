@@ -33,9 +33,9 @@
 // and p50/p95/p99 without touching any query-path lock.
 //
 // bench/workload_harness.cc drives this front end with seeded zipf
-// model- and query-skew (YCSB-style mixed operation streams) and prints
-// thread-scaling tables; its --smoke mode asserts exact served/shed
-// counts deterministically under ctest.
+// model- and query-skew (YCSB-style mixed operation streams) and asserts
+// exact served/shed counts deterministically under ctest; perfbench's
+// serve_zipf workload measures it under load.
 
 #ifndef KMEANSLL_SERVING_SERVER_REGISTRY_H_
 #define KMEANSLL_SERVING_SERVER_REGISTRY_H_

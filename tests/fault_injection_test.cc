@@ -22,10 +22,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -192,6 +194,39 @@ TEST(FaultInjectorTest, DecisionsAreSeededDeterministicAndBounded) {
   EXPECT_FALSE(fault::Check("t.cap").ok());
   EXPECT_FALSE(fault::Check("t.cap").ok());
   EXPECT_TRUE(fault::Check("t.cap").ok());
+}
+
+TEST(FaultInjectorTest, ArmAndResetRaceCheck) {
+  // Arm rewrites a site's rule and Reset frees the site while another
+  // thread's check may be deciding on it. Every fault that fires must
+  // report an armed rule's kind, and the ASan and TSan builds flag any
+  // read of the site made outside the injector's lock.
+  FaultGuard guard;
+  FaultInjector& injector = FaultInjector::Global();
+  std::atomic<bool> done{false};
+  int64_t checks = 0, fired = 0, wrong_kind = 0;
+  std::thread checker([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      FaultKind kind = FaultKind::kMapFail;
+      if (fault::CheckKind("t.race", &kind)) {
+        ++fired;
+        if (kind != FaultKind::kCrcError) ++wrong_kind;
+      }
+      ++checks;
+    }
+  });
+  for (int i = 0; i < 20000; ++i) {
+    injector.Arm("t.race", FaultRule{.kind = FaultKind::kCrcError,
+                                     .probability = 1.0,
+                                     .max_triggers = 3});
+    injector.Arm("t.race", FaultRule{.kind = FaultKind::kCrcError,
+                                     .nth_call = 2});
+    injector.Reset();
+  }
+  done.store(true, std::memory_order_release);
+  checker.join();
+  EXPECT_GT(checks, 0);
+  EXPECT_EQ(wrong_kind, 0) << "of " << fired << " fired checks";
 }
 
 // --- The fault matrix: transient shard faults are invisible --------------

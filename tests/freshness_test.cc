@@ -395,6 +395,9 @@ TEST(RefineLoopTest, CheckpointWithOverflowingShapeIgnored) {
 }
 
 TEST(RefineLoopTest, RefineFaultCountsFailureAndRecovers) {
+#if !KMEANSLL_FAULT_INJECTION
+  GTEST_SKIP() << "needs the freshness.refine fault site to fail a cycle";
+#endif
   FaultGuard guard;
   LiveDataset live = OpenLive(TempPath("refine_fault"));
   ModelServer server(CenterIndex::Build(InitialCenters()));
@@ -421,6 +424,9 @@ TEST(RefineLoopTest, RefineFaultCountsFailureAndRecovers) {
 }
 
 TEST(RefineLoopTest, TransientCheckpointWriteIsRetriedAndCounted) {
+#if !KMEANSLL_FAULT_INJECTION
+  GTEST_SKIP() << "needs the freshness.checkpoint fault site";
+#endif
   FaultGuard guard;
   LiveDataset live = OpenLive(TempPath("ckpt_retry"));
   const std::string ckpt = TempPath("ckpt_retry.frsh");

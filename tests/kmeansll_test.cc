@@ -4,20 +4,28 @@
 // relative to k-means++.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "clustering/cost.h"
 #include "clustering/init_kmeanspp.h"
 #include "clustering/init_kmeansll.h"
+#include "clustering/lloyd.h"
 #include "common/logging.h"
+#include "data/shard_store.h"
 #include "data/synthetic.h"
 #include "distance/l2.h"
 #include "eval/trials.h"
+#include "parallel/thread_pool.h"
 #include "rng/rng.h"
+#include "test_paths.h"
 
 namespace kmeansll {
 namespace {
@@ -237,14 +245,123 @@ TEST(KMeansLLTest, MoreRoundsNeverHurtMuch) {
 }
 
 TEST(KMeansLLTest, WeightsAccumulateToTotalPointCount) {
-  // Step 7's weights partition the dataset: they must sum to n. We verify
-  // via the internal recluster entry point by re-deriving the weights.
+  // Step 7 hands every point's weight to its closest candidate, so the
+  // weights partition the data's total weight, and every candidate is a
+  // data row. The weights below are multiples of 1/4, so every partial
+  // sum is exact and the totals compare with ==.
   auto gauss = MakeGauss(800, 6, 81);
+  const int64_t n = gauss.data.n(), d = gauss.data.dim();
   KMeansLLOptions options;
   options.rounds = 3;
-  auto result = KMeansLLInit(gauss.data, 6, rng::Rng(82), options);
-  ASSERT_TRUE(result.ok());
-  SUCCEED();  // covered in depth by the MR-vs-sequential agreement test
+  const auto sum = [](const std::vector<double>& w) {
+    double total = 0.0;
+    for (double x : w) total += x;
+    return total;
+  };
+  const auto expect_data_rows = [&](const Matrix& candidates) {
+    for (int64_t c = 0; c < candidates.rows(); ++c) {
+      bool found = false;
+      for (int64_t i = 0; i < n && !found; ++i) {
+        found = std::equal(candidates.Row(c), candidates.Row(c) + d,
+                           gauss.data.Point(i));
+      }
+      EXPECT_TRUE(found) << "candidate " << c;
+    }
+  };
+
+  auto unit = internal::OversampleCandidates(gauss.data.AsSource(), 6,
+                                             rng::Rng(82), options);
+  ASSERT_TRUE(unit.ok());
+  ASSERT_EQ(static_cast<int64_t>(unit->weights.size()),
+            unit->candidates.rows());
+  EXPECT_GT(unit->candidates.rows(), 6);
+  EXPECT_EQ(sum(unit->weights), static_cast<double>(n));
+  expect_data_rows(unit->candidates);
+
+  std::vector<double> point_weights(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    point_weights[static_cast<size_t>(i)] = 0.25 * static_cast<double>(
+                                                       1 + i % 7);
+  }
+  auto weighted_or = Dataset::WithWeights(gauss.data.points(), point_weights);
+  ASSERT_TRUE(weighted_or.ok());
+  const Dataset weighted = std::move(weighted_or).ValueOrDie();
+  auto expected = internal::OversampleCandidates(weighted.AsSource(), 6,
+                                                 rng::Rng(82), options);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(sum(expected->weights), weighted.TotalWeight());
+  expect_data_rows(expected->candidates);
+
+  // Bitwise the same output at pools null and 4, in memory and over a
+  // sharded copy of the same rows.
+  const std::string manifest = ScratchPath(
+      "kmll_step7_" + std::to_string(::getpid()) + ".kml");
+  auto written = data::WriteShards(weighted, manifest,
+                                   data::ShardWriteOptions{.num_shards = 5});
+  ASSERT_TRUE(written.ok());
+  {
+    auto sharded = data::ShardedDataset::Open(manifest);
+    ASSERT_TRUE(sharded.ok());
+    const InMemorySource in_memory = weighted.AsSource();
+    ThreadPool pool(4);
+    for (const DatasetSource* source :
+         {static_cast<const DatasetSource*>(&in_memory),
+          static_cast<const DatasetSource*>(&*sharded)}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE(std::string(source == &in_memory ? "in memory"
+                                                      : "sharded") +
+                     (p == nullptr ? ", no pool" : ", pool of 4"));
+        auto actual = internal::OversampleCandidates(*source, 6, rng::Rng(82),
+                                                     options, p);
+        ASSERT_TRUE(actual.ok());
+        EXPECT_TRUE(actual->candidates == expected->candidates);
+        EXPECT_EQ(actual->weights, expected->weights);
+        EXPECT_EQ(actual->telemetry.round_potentials,
+                  expected->telemetry.round_potentials);
+        EXPECT_EQ(actual->telemetry.data_passes,
+                  expected->telemetry.data_passes);
+      }
+    }
+  }
+  for (const data::ShardInfo& shard : written->shards) {
+    std::remove(ShardFilePath(manifest, shard.file).c_str());
+  }
+  std::remove(manifest.c_str());
+}
+
+TEST(KMeansLLTest, WeightedCandidatesApproximateClusteringData) {
+  // Theorem 1's premise: Steps 1–7's weighted candidates stand in for the
+  // data. Seed and refine on them, evaluate on the full data: the result
+  // must be within a small factor of clustering the full data directly.
+  const int64_t k = 10;
+  auto gauss = MakeGauss(6000, k, 407, /*spread=*/6.0);
+  KMeansLLOptions sampling;
+  sampling.oversampling = 60.0;
+  sampling.rounds = 5;
+  sampling.exact_ell = true;
+  auto sampled = internal::OversampleCandidates(gauss.data.AsSource(), k,
+                                                rng::Rng(408), sampling);
+  ASSERT_TRUE(sampled.ok());
+  EXPECT_EQ(sampled->candidates.rows(), 301);
+  auto candidates =
+      Dataset::WithWeights(sampled->candidates, sampled->weights);
+  ASSERT_TRUE(candidates.ok());
+
+  auto candidate_seed = KMeansPPInit(*candidates, k, rng::Rng(409));
+  ASSERT_TRUE(candidate_seed.ok());
+  LloydOptions options;
+  options.max_iterations = 50;
+  auto candidate_model =
+      RunLloyd(*candidates, candidate_seed->centers, options);
+  ASSERT_TRUE(candidate_model.ok());
+  double via_candidates = ComputeCost(gauss.data, candidate_model->centers);
+
+  auto direct_seed = KMeansPPInit(gauss.data, k, rng::Rng(410));
+  ASSERT_TRUE(direct_seed.ok());
+  auto direct_model = RunLloyd(gauss.data, direct_seed->centers, options);
+  ASSERT_TRUE(direct_model.ok());
+
+  EXPECT_LT(via_candidates, 3.0 * direct_model->assignment.cost);
 }
 
 // Parameter sweep over (ℓ/k, exact) combinations: the algorithm always

@@ -27,8 +27,8 @@ data::LabeledData MakeGauss(int64_t n, int64_t k, uint64_t seed) {
 
 TEST(KMeansSharpTest, SelectsFromGroupOnly) {
   auto gauss = MakeGauss(600, 6, 90);
-  auto selected =
-      internal::KMeansSharp(gauss.data, 100, 300, 5, 4, rng::Rng(91));
+  auto selected = internal::KMeansSharp(gauss.data.AsSource(), 100, 300, 5,
+                                        4, rng::Rng(91));
   EXPECT_FALSE(selected.empty());
   for (int64_t idx : selected) {
     EXPECT_GE(idx, 100);
@@ -39,8 +39,8 @@ TEST(KMeansSharpTest, SelectsFromGroupOnly) {
 TEST(KMeansSharpTest, SelectionCountBounded) {
   auto gauss = MakeGauss(600, 6, 92);
   const int64_t batch = 7, iterations = 5;
-  auto selected = internal::KMeansSharp(gauss.data, 0, 600, batch,
-                                        iterations, rng::Rng(93));
+  auto selected = internal::KMeansSharp(gauss.data.AsSource(), 0, 600,
+                                        batch, iterations, rng::Rng(93));
   EXPECT_LE(static_cast<int64_t>(selected.size()), batch * iterations);
   // Distinct (duplicates dropped by construction).
   std::set<int64_t> distinct(selected.begin(), selected.end());
@@ -50,8 +50,8 @@ TEST(KMeansSharpTest, SelectionCountBounded) {
 TEST(KMeansSharpTest, SmallGroupSaturates) {
   auto gauss = MakeGauss(100, 4, 94);
   // Ask for far more selections than the group holds.
-  auto selected =
-      internal::KMeansSharp(gauss.data, 10, 20, 50, 50, rng::Rng(95));
+  auto selected = internal::KMeansSharp(gauss.data.AsSource(), 10, 20, 50,
+                                        50, rng::Rng(95));
   EXPECT_LE(static_cast<int64_t>(selected.size()), 10);
 }
 
