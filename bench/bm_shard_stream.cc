@@ -6,7 +6,7 @@
 // Dataset path. The windowed variants report "stall_ms", the time scan
 // threads spent blocked on shard I/O inside Pin (demand maps and waits
 // on another thread's map), and "evictions". A pool-parallel variant
-// exercises the shard-parallel scan schedule. Raw view-iteration
+// runs the windowed scan on four workers. Raw view-iteration
 // throughput is measured separately so the mmap/fault overhead is
 // visible without the distance kernel. BM_Crc32 measures the checksum
 // every shard write and first map runs over its bytes.
@@ -55,14 +55,13 @@ Matrix RandomCenters(int64_t k, int64_t d, uint64_t seed) {
   return m;
 }
 
-/// Streams `data` into kNumShards shard files through the ShardWriter
-/// sink (the ingest path: block-sized appends, no WriteShards/full-
-/// dataset dependency) and opens the result with the given window
-/// (0 = unbounded).
-std::unique_ptr<data::ShardedDataset> OpenSharded(
-    const Dataset& data, const std::string& tag,
+/// Streams `data` into kNumShards shard files at `manifest` through the
+/// ShardWriter sink (the ingest path: block-sized appends, no
+/// WriteShards/full-dataset dependency) and opens the result with the
+/// given window (0 = unbounded).
+std::unique_ptr<data::ShardedDataset> WriteAndOpen(
+    const Dataset& data, const std::string& manifest,
     int64_t max_resident_bytes) {
-  std::string manifest = "/tmp/bm_shard_stream_" + tag + ".kml";
   data::ShardWriter::Options write_options;
   write_options.rows_per_shard =
       (data.n() + kNumShards - 1) / kNumShards;
@@ -89,6 +88,33 @@ std::unique_ptr<data::ShardedDataset> OpenSharded(
   if (!sharded.ok()) return nullptr;
   return std::make_unique<data::ShardedDataset>(
       std::move(sharded).ValueOrDie());
+}
+
+/// Closes a sharded dataset, then removes its manifest and the shard
+/// files ShardWriter named after it ("<manifest>.shard<i>").
+struct RemoveShardFiles {
+  std::string manifest;
+  void operator()(data::ShardedDataset* sharded) const {
+    delete sharded;
+    std::remove(manifest.c_str());
+    for (int64_t s = 0; s < kNumShards; ++s) {
+      std::remove((manifest + ".shard" + std::to_string(s)).c_str());
+    }
+  }
+};
+using ScratchShards =
+    std::unique_ptr<data::ShardedDataset, RemoveShardFiles>;
+
+/// WriteAndOpen at /tmp/bm_shard_stream_<tag>.kml. The files are removed
+/// when the result goes out of scope, or at once when a step failed
+/// (the result is then null).
+ScratchShards OpenSharded(const Dataset& data, const std::string& tag,
+                          int64_t max_resident_bytes) {
+  RemoveShardFiles remove{"/tmp/bm_shard_stream_" + tag + ".kml"};
+  std::unique_ptr<data::ShardedDataset> sharded =
+      WriteAndOpen(data, remove.manifest, max_resident_bytes);
+  if (sharded == nullptr) remove(nullptr);
+  return ScratchShards(sharded.release(), std::move(remove));
 }
 
 /// Window covering roughly three of the kNumShards shards: small enough
@@ -157,8 +183,8 @@ void BM_CostShardedWindowed(benchmark::State& state) {
 }
 BENCHMARK(BM_CostShardedWindowed)->Apply(StreamGrid);
 
-// Pool-parallel windowed cost scan: the shard-aware ScanSchedule fans
-// the chunk grid out so concurrent workers pin distinct shards.
+// Pool-parallel windowed cost scan: four workers take the chunk grid in
+// index order, so they pin the same shard, or neighbouring ones, at a time.
 void BM_CostShardedWindowedPool(benchmark::State& state) {
   const int64_t n = state.range(0), k = state.range(1), d = state.range(2);
   Dataset data = RandomData(n, d, 1);
@@ -255,7 +281,7 @@ void BM_SmokeShardStream(benchmark::State& state) {
   Dataset data = RandomData(n, d, 1);
   Matrix centers = RandomCenters(k, d, 2);
   // ShardWriter-produced shards through a tight window on a 4-thread
-  // pool (shard-parallel schedule) must give bitwise the in-memory cost.
+  // pool must give bitwise the in-memory cost.
   auto sharded = OpenSharded(data, "smoke", ThreeShardWindow(n, d));
   if (sharded == nullptr) {
     state.SkipWithError("shard setup failed");

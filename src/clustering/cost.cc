@@ -31,11 +31,11 @@ void ScanRows(const DatasetSource& data, const NearestRangeFn& find,
 }
 
 /// Stores each row's w·d² for rows [begin, end) in row_costs[row]. A
-/// range with an engine tile per chunk runs on the chunk grid (with the
-/// shard-aware schedule when it starts at row 0); a shorter one runs in
-/// tiles of at least kPointTile rows (the whole range without a pool),
-/// so the engine never sees one-row slivers. A row's value depends only
-/// on the row and `find`, so every schedule stores the same bits.
+/// range with an engine tile per chunk runs on the chunk grid; a shorter
+/// one runs in tiles of at least kPointTile rows (the whole range
+/// without a pool), so the engine never sees one-row slivers. A row's
+/// value depends only on the row and `find`, so both tilings store the
+/// same bits.
 void ScoreRows(const DatasetSource& data, const NearestRangeFn& find,
                ThreadPool* pool, const double* point_norms,
                int32_t* out_cluster, int64_t begin, int64_t end,
@@ -43,15 +43,10 @@ void ScoreRows(const DatasetSource& data, const NearestRangeFn& find,
   const int64_t rows = end - begin;
   auto store = [row_costs](int64_t row, double v) { row_costs[row] = v; };
   if (rows >= kDeterministicChunks * kPointTile) {
-    const ScanSchedule schedule =
-        begin == 0 ? MakeScanSchedule(data, rows, pool) : ScanSchedule();
-    ParallelFor(
-        pool, rows,
-        [&](IndexRange r) {
-          ScanRows(data, find, point_norms, out_cluster, begin + r.begin,
-                   begin + r.end, store);
-        },
-        &schedule);
+    ParallelFor(pool, rows, [&](IndexRange r) {
+      ScanRows(data, find, point_norms, out_cluster, begin + r.begin,
+               begin + r.end, store);
+    });
     return;
   }
   const std::vector<IndexRange> tiles = MakeChunks(
@@ -93,10 +88,7 @@ double ReduceNearest(const DatasetSource& data, const NearestRangeFn& find,
   const int64_t n = data.n();
   if (n >= kDeterministicChunks * kPointTile) {
     // Every chunk holds at least one engine tile: evaluate and fold chunk
-    // by chunk. Shard-aware execution over an out-of-core source: workers
-    // take chunks from disjoint shard spans. Timing only — the fold stays
-    // in chunk order, so the result is bitwise the unscheduled one.
-    const ScanSchedule schedule = MakeScanSchedule(data, n, pool);
+    // by chunk.
     auto map = [&](IndexRange r) {
       KahanSum partial;
       ScanRows(data, find, point_norms, out_cluster, r.begin, r.end,
@@ -107,8 +99,7 @@ double ReduceNearest(const DatasetSource& data, const NearestRangeFn& find,
       a.Merge(b);
       return a;
     };
-    return ParallelReduce<KahanSum>(pool, n, KahanSum(), map, combine,
-                                    &schedule)
+    return ParallelReduce<KahanSum>(pool, n, KahanSum(), map, combine)
         .Total();
   }
 

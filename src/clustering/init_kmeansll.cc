@@ -46,17 +46,15 @@ Result<Matrix> ReclusterCandidates(const Matrix& candidates,
       Dataset coreset,
       Dataset::WithWeights(candidates, weights));
 
-  KMeansPPOptions pp_options = options.recluster_kmeanspp;
   KMEANSLL_ASSIGN_OR_RETURN(
       InitResult seeded,
-      KMeansPPInit(coreset, k, rng.Fork(rng::StreamPurpose::kRecluster),
-                   pp_options));
+      KMeansPPInit(coreset, k, rng.Fork(rng::StreamPurpose::kRecluster)));
 
   Matrix centers = std::move(seeded.centers);
-  if (options.recluster == ReclusterMethod::kWeightedKMeansPPPlusLloyd &&
-      options.recluster_lloyd_iterations > 0) {
+  if (options.recluster == ReclusterMethod::kWeightedKMeansPPPlusLloyd) {
+    constexpr int64_t kReclusterLloydIterations = 30;
     LloydOptions lloyd_options;
-    lloyd_options.max_iterations = options.recluster_lloyd_iterations;
+    lloyd_options.max_iterations = kReclusterLloydIterations;
     KMEANSLL_ASSIGN_OR_RETURN(
         LloydResult refined,
         RunLloyd(coreset, centers, lloyd_options, /*pool=*/nullptr));

@@ -39,8 +39,9 @@ enum class ReclusterMethod {
   /// Weighted k-means++ seeding only — the paper's choice ("we use
   /// k-means++ for reclustering in Step 8").
   kWeightedKMeansPP,
-  /// Weighted k-means++ followed by weighted Lloyd refinement on the
-  /// coreset (the Spark MLlib practice); never hurts, costs O(coreset·k).
+  /// Weighted k-means++ followed by 30 iterations of weighted Lloyd
+  /// refinement on the coreset (the Spark MLlib practice); never hurts,
+  /// costs O(coreset·k) per iteration.
   kWeightedKMeansPPPlusLloyd,
 };
 
@@ -62,11 +63,6 @@ struct KMeansLLOptions {
   /// paper's observation that k-means|| seed costs are *lower* than
   /// k-means++ (Tables 1–2), and matches the Spark MLlib realization.
   ReclusterMethod recluster = ReclusterMethod::kWeightedKMeansPPPlusLloyd;
-  /// Lloyd iterations on the weighted coreset when reclustering with
-  /// kWeightedKMeansPPPlusLloyd.
-  int64_t recluster_lloyd_iterations = 30;
-  /// Candidate draws per k-means++ step in the reclustering phase.
-  KMeansPPOptions recluster_kmeanspp;
   /// When non-empty, the sampling loop writes a KMLLCKPT seeding
   /// checkpoint (candidate set + round potentials — see
   /// data/checkpoint_io.h) atomically at this path every

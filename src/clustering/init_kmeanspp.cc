@@ -60,9 +60,7 @@ double PotentialWithCandidate(const DatasetSource& data,
     a.Merge(b);
     return a;
   };
-  const ScanSchedule schedule = MakeScanSchedule(data, data.n(), pool);
-  return ParallelReduce<KahanSum>(pool, data.n(), KahanSum(), map, combine,
-                                  &schedule)
+  return ParallelReduce<KahanSum>(pool, data.n(), KahanSum(), map, combine)
       .Total();
 }
 

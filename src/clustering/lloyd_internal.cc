@@ -62,9 +62,7 @@ CentroidSums AccumulateCentroids(const DatasetSource& data,
     }
     return a;
   };
-  const ScanSchedule schedule = MakeScanSchedule(data, data.n(), pool);
-  return ParallelReduce<CentroidSums>(pool, data.n(), zero(), map, combine,
-                                      &schedule);
+  return ParallelReduce<CentroidSums>(pool, data.n(), zero(), map, combine);
 }
 
 std::vector<int64_t> CentroidsFromSums(const CentroidSums& totals,

@@ -30,32 +30,6 @@ void CountPass(const MRContext& ctx) {
   }
 }
 
-/// Builds the job's input partitions and installs the shard-aware
-/// submission order for them. Partition BOUNDARIES always come from
-/// MakePartitions — per-task partial sums fold over those row groups, so
-/// keeping them fixed is what makes MR results bitwise identical between
-/// in-memory and sharded sources. On top of that, when the source
-/// exposes residency units, MakeMapTaskSchedule supplies a submission
-/// order that starts each concurrent wave on distinct shards even when
-/// the partition count does not match the shard count (partitions
-/// subdividing a shard would otherwise pile the wave onto it); order
-/// cannot change results.
-template <typename JobT>
-std::vector<DataPartition> ScheduledPartitions(const DatasetSource& data,
-                                               const MRContext& ctx,
-                                               JobT* job) {
-  std::vector<DataPartition> parts =
-      MakePartitions(data, ctx.num_partitions);
-  const int64_t workers =
-      ctx.pool == nullptr ? 1 : ctx.pool->num_threads();
-  mapreduce::MapTaskSchedule schedule =
-      mapreduce::MakeMapTaskSchedule(data, parts, workers);
-  if (!schedule.order.empty()) {
-    job->WithSubmissionOrder(std::move(schedule.order));
-  }
-  return parts;
-}
-
 /// Installs the context's fault policy on a job: the attempt budget and
 /// the error channel every driver checks right after Run (a terminal
 /// task failure yields a Status, never an abort). Retrying a task that
@@ -106,7 +80,7 @@ Result<double> MRComputeCost(const DatasetSource& data,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, MakePartitions(data, ctx.num_partitions));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -179,7 +153,7 @@ Result<double> RunUpdateCostJob(const DatasetSource& data,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, MakePartitions(data, ctx.num_partitions));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -233,7 +207,7 @@ Result<std::vector<int64_t>> RunSamplingJob(
         .WithCounters(ctx.counters);
     ApplyFaultPolicy(&job, ctx, &job_error);
     auto outputs =
-        job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
+        job.Run(ctx.pool, MakePartitions(data, ctx.num_partitions));
     if (job_error.ok()) chosen = std::move(outputs[0]);
   } else {
     Job<DataPartition, int, std::vector<ExactCandidate>,
@@ -297,7 +271,7 @@ Result<std::vector<int64_t>> RunSamplingJob(
         .WithCounters(ctx.counters);
     ApplyFaultPolicy(&job, ctx, &job_error);
     auto outputs =
-        job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
+        job.Run(ctx.pool, MakePartitions(data, ctx.num_partitions));
     if (job_error.ok()) chosen = std::move(outputs[0]);
   }
   CountPass(ctx);
@@ -343,7 +317,7 @@ Result<std::vector<double>> RunWeightJob(const DatasetSource& data,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, MakePartitions(data, ctx.num_partitions));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -501,7 +475,7 @@ Result<InitResult> MRRandomInit(const DatasetSource& data, int64_t k,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, MakePartitions(data, ctx.num_partitions));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -591,7 +565,7 @@ Result<InitResult> MRPartitionInit(const DatasetSource& data, int64_t k,
       .WithCounters(ctx.counters);
   Status job_error;
   ApplyFaultPolicy(&job, ctx, &job_error);
-  auto outputs = job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
+  auto outputs = job.Run(ctx.pool, MakePartitions(data, ctx.num_partitions));
   CountPass(ctx);
   KMEANSLL_RETURN_NOT_OK(job_error);
   KMEANSLL_RETURN_NOT_OK(data.status());
@@ -750,7 +724,7 @@ Result<LloydResult> MRRunLloyd(const DatasetSource& data,
     ApplyFaultPolicy(&job, ctx, &job_error);
 
     auto outputs =
-        job.Run(ctx.pool, ScheduledPartitions(data, ctx, &job));
+        job.Run(ctx.pool, MakePartitions(data, ctx.num_partitions));
     CountPass(ctx);
     KMEANSLL_RETURN_NOT_OK(job_error);
     KMEANSLL_RETURN_NOT_OK(data.status());

@@ -121,7 +121,7 @@ Result<InitResult> KMeans::InitializeWithContext(
       case InitMethod::kRandom:
         return MRRandomInit(data, config_.k, rng, ctx);
       case InitMethod::kPartition:
-        return MRPartitionInit(data, config_.k, rng, config_.partition,
+        return MRPartitionInit(data, config_.k, rng, PartitionOptions{},
                                ctx);
       case InitMethod::kKMeansPP:
         return Status::InvalidArgument("k-means++ has no MapReduce path");
@@ -131,13 +131,13 @@ Result<InitResult> KMeans::InitializeWithContext(
     case InitMethod::kRandom:
       return RandomInit(data, config_.k, rng);
     case InitMethod::kKMeansPP:
-      return KMeansPPInit(data, config_.k, rng, config_.kmeanspp,
+      return KMeansPPInit(data, config_.k, rng, KMeansPPOptions{},
                           pool_.get());
     case InitMethod::kKMeansParallel:
       return KMeansLLInit(data, config_.k, rng, config_.kmeansll,
                           pool_.get(), point_norms);
     case InitMethod::kPartition:
-      return PartitionInit(data, config_.k, rng, config_.partition);
+      return PartitionInit(data, config_.k, rng);
   }
   return Status::InvalidArgument("unknown init method");
 }

@@ -53,9 +53,10 @@ struct KMeansConfig {
   InitMethod init = InitMethod::kKMeansParallel;
   uint64_t seed = 42;
 
-  KMeansLLOptions kmeansll;    ///< used when init == kKMeansParallel
-  KMeansPPOptions kmeanspp;    ///< used when init == kKMeansPP
-  PartitionOptions partition;  ///< used when init == kPartition
+  /// Used when init == kKMeansParallel. k-means++ and Partition run
+  /// with their default options; callers that need others call
+  /// KMeansPPInit / PartitionInit directly.
+  KMeansLLOptions kmeansll;
 
   /// Lloyd refinement on the full dataset; max_iterations = 0 disables
   /// (seed-only evaluation, the paper's "seed" columns).

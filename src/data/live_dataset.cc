@@ -419,36 +419,6 @@ PinnedBlock LiveDataset::Pin(int64_t begin, int64_t end) const {
   return PinnedBlock(view.Slice(local, local_end), [seg] {});
 }
 
-std::vector<std::pair<int64_t, int64_t>> LiveDataset::ResidencyRanges()
-    const {
-  Impl* impl = impl_.get();
-  std::shared_ptr<ShardedDataset> sealed_sp;
-  std::vector<std::pair<int64_t, int64_t>> ranges;
-  std::vector<std::pair<int64_t, int64_t>> tail_ranges;
-  {
-    std::lock_guard<std::mutex> lock(impl->snap_mu);
-    sealed_sp = impl->sealed;
-    for (const auto& seg : impl->tail) {
-      if (seg->visible > 0) {
-        tail_ranges.emplace_back(seg->first_row,
-                                 seg->first_row + seg->visible);
-      }
-    }
-  }
-  if (sealed_sp != nullptr) ranges = sealed_sp->ShardRanges();
-  ranges.insert(ranges.end(), tail_ranges.begin(), tail_ranges.end());
-  return ranges;
-}
-
-int64_t LiveDataset::ResidentUnitCapacity() const {
-  std::shared_ptr<ShardedDataset> sealed_sp;
-  {
-    std::lock_guard<std::mutex> lock(impl_->snap_mu);
-    sealed_sp = impl_->sealed;
-  }
-  return sealed_sp == nullptr ? 0 : sealed_sp->ResidentUnitCapacity();
-}
-
 Status LiveDataset::status() const {
   std::shared_ptr<ShardedDataset> sealed_sp;
   {

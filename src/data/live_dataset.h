@@ -116,8 +116,6 @@ class LiveDataset final : public DatasetSource {
   bool has_labels() const override { return false; }
   double TotalWeight() const override;
   PinnedBlock Pin(int64_t begin, int64_t end) const override;
-  std::vector<std::pair<int64_t, int64_t>> ResidencyRanges() const override;
-  int64_t ResidentUnitCapacity() const override;
   /// Sticky: first error from the log, the sealed shards, or a failed
   /// seal. A non-OK live dataset still serves reads; writes fail.
   Status status() const override;

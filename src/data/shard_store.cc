@@ -743,21 +743,6 @@ int64_t ShardedDataset::num_shards() const {
   return static_cast<int64_t>(impl_->shards.size());
 }
 
-std::pair<int64_t, int64_t> ShardedDataset::ShardRows(int64_t s) const {
-  const Impl::Shard& shard = impl_->shards[static_cast<size_t>(s)];
-  return {shard.first_row, shard.first_row + shard.rows};
-}
-
-std::vector<std::pair<int64_t, int64_t>> ShardedDataset::ShardRanges()
-    const {
-  std::vector<std::pair<int64_t, int64_t>> ranges;
-  ranges.reserve(impl_->shards.size());
-  for (const Impl::Shard& shard : impl_->shards) {
-    ranges.emplace_back(shard.first_row, shard.first_row + shard.rows);
-  }
-  return ranges;
-}
-
 const ShardManifest& ShardedDataset::manifest() const {
   return impl_->manifest;
 }
@@ -775,21 +760,6 @@ ShardedDataset::IoStats ShardedDataset::io_stats() const {
   out.map_retries = cells.map_retries.load(std::memory_order_relaxed);
   out.map_failures = cells.map_failures.load(std::memory_order_relaxed);
   return out;
-}
-
-std::vector<std::pair<int64_t, int64_t>> ShardedDataset::ResidencyRanges()
-    const {
-  return ShardRanges();
-}
-
-int64_t ShardedDataset::ResidentUnitCapacity() const {
-  const int64_t budget = impl_->options.max_resident_bytes;
-  if (budget <= 0) return 0;
-  int64_t largest = 0;
-  for (const Impl::Shard& shard : impl_->shards) {
-    largest = std::max(largest, shard.file_bytes);
-  }
-  return std::max<int64_t>(budget / std::max<int64_t>(largest, 1), 1);
 }
 
 PinnedBlock ShardedDataset::Pin(int64_t begin, int64_t end) const {

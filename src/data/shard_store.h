@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -224,11 +223,6 @@ class ShardedDataset final : public DatasetSource {
   /// Computed on first call (one streamed pass) and cached.
   double TotalWeight() const override;
   PinnedBlock Pin(int64_t begin, int64_t end) const override;
-  /// The shard table as residency ranges (drives MakeScanSchedule).
-  std::vector<std::pair<int64_t, int64_t>> ResidencyRanges() const override;
-  /// floor(max_resident_bytes / largest shard bytes), at least 1; 0 when
-  /// the window is unbounded.
-  int64_t ResidentUnitCapacity() const override;
   /// Sticky health of the source. OK while every pin has served real
   /// shard bytes. Once a shard exhausts its map retry budget the first
   /// such error is recorded here permanently; the failed Pin (and every
@@ -239,11 +233,6 @@ class ShardedDataset final : public DatasetSource {
   Status status() const override;
 
   int64_t num_shards() const;
-  /// Global [begin, end) row range of shard s — e.g. to build
-  /// shard-aligned MapReduce partitions (mapreduce/partition.h).
-  std::pair<int64_t, int64_t> ShardRows(int64_t s) const;
-  /// All shard ranges in order (convenience for MakeAlignedPartitions).
-  std::vector<std::pair<int64_t, int64_t>> ShardRanges() const;
 
   const ShardManifest& manifest() const;
   IoStats io_stats() const;

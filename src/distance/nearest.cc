@@ -22,18 +22,14 @@ std::vector<double> RowSquaredNorms(const DatasetSource& data,
   const int64_t n = data.n();
   std::vector<double> norms(static_cast<size_t>(n));
   const int64_t d = data.dim();
-  const ScanSchedule schedule = MakeScanSchedule(data, n, pool);
-  ParallelFor(
-      pool, n,
-      [&](IndexRange r) {
-        ForEachBlock(data, r.begin, r.end, [&](const DatasetView& v) {
-          for (int64_t i = 0; i < v.rows(); ++i) {
-            norms[static_cast<size_t>(v.first_row() + i)] =
-                SquaredNorm(v.Point(i), d);
-          }
-        });
-      },
-      &schedule);
+  ParallelFor(pool, n, [&](IndexRange r) {
+    ForEachBlock(data, r.begin, r.end, [&](const DatasetView& v) {
+      for (int64_t i = 0; i < v.rows(); ++i) {
+        norms[static_cast<size_t>(v.first_row() + i)] =
+            SquaredNorm(v.Point(i), d);
+      }
+    });
+  });
   return norms;
 }
 
@@ -178,11 +174,10 @@ void NearestCenterSearch::FindAll(const Matrix& points,
     local.Pack(centers_);
     panels = &local;
   }
-  // Chunk on the fixed deterministic grid in the sequential path too, so
-  // tile origins — and therefore results — are identical with and without
-  // a pool even when codegen contracts the kernels differently.
-  std::vector<IndexRange> chunks = MakeChunks(n, kDeterministicChunks);
-  auto body = [&](IndexRange r) {
+  // ParallelFor runs the fixed chunk grid with or without a pool, so tile
+  // origins — and therefore results — are identical at every pool size
+  // even when codegen contracts the kernels differently.
+  ParallelFor(pool, n, [&](IndexRange r) {
     const int64_t len = r.size();
     double* d2 = out_d2->data() + r.begin;
     for (int64_t i = 0; i < len; ++i) {
@@ -198,15 +193,7 @@ void NearestCenterSearch::FindAll(const Matrix& points,
                                              : point_norms + r.begin,
                       *panels, center_norms_or_null(), batch_kernel(), d2,
                       idx);
-  };
-  if (pool == nullptr) {
-    for (const IndexRange& r : chunks) body(r);
-  } else {
-    for (const IndexRange& r : chunks) {
-      pool->Submit([&body, r] { body(r); });
-    }
-    pool->Wait();
-  }
+  });
 }
 
 void NearestCenterSearch::FindAll(const DatasetSource& data,
@@ -225,7 +212,9 @@ void NearestCenterSearch::FindAll(const DatasetSource& data,
     local.Pack(centers_);
     panels = &local;
   }
-  auto body = [&](IndexRange r) {
+  // Per-row writes are independent; ParallelFor's chunk grid keeps tile
+  // origins the same at every pool size (as in the Matrix FindAll).
+  ParallelFor(pool, n, [&](IndexRange r) {
     ForEachBlock(data, r.begin, r.end, [&](const DatasetView& v) {
       const int64_t first = v.first_row();
       const int64_t len = v.rows();
@@ -244,14 +233,7 @@ void NearestCenterSearch::FindAll(const DatasetSource& data,
                         *panels, center_norms_or_null(), batch_kernel(), d2,
                         idx);
     });
-  };
-  // Shard-aware submission over out-of-core sources;
-  // per-row writes are independent, so the schedule only changes timing
-  // (see ScanSchedule). Passing the schedule also keeps the sequential
-  // path on the fixed deterministic chunk grid (as in the Matrix
-  // FindAll), so tile origins match the pooled path at any pool size.
-  const ScanSchedule schedule = MakeScanSchedule(data, n, pool);
-  ParallelFor(pool, n, body, &schedule);
+  });
 }
 
 void NearestCenterSearch::FindTopMRange(ConstMatrixView points,
@@ -301,7 +283,6 @@ MinDistanceTracker::MinDistanceTracker(const DatasetSource& data,
                                        const double* point_norms)
     : data_(&data),
       pool_(pool),
-      schedule_(MakeScanSchedule(data, data.n(), pool)),
       point_norms_(point_norms),
       min_d2_(static_cast<size_t>(data.n()),
               std::numeric_limits<double>::infinity()),
@@ -369,7 +350,7 @@ double MinDistanceTracker::AddCenters(const Matrix& centers, int64_t first) {
     return a;
   };
   potential_ = ParallelReduce<KahanSum>(pool_, data_->n(), KahanSum(), map,
-                                        combine, &schedule_)
+                                        combine)
                    .Total();
   return potential_;
 }

@@ -260,10 +260,6 @@ class MinDistanceTracker {
   std::optional<InMemorySource> owned_source_;  // backs the Dataset ctor
   const DatasetSource* data_;  // not owned; must outlive the tracker
   ThreadPool* pool_;           // not owned; may be null (sequential pass)
-  ScanSchedule schedule_;  // shard-aware execution plan, built once and
-                           // reused by every AddCenters round (empty for
-                           // in-memory sources; timing only — see
-                           // parallel/parallel_for.h)
   const double* point_norms_ = nullptr;  // the caller's, or owned_norms_
   std::vector<double> min_d2_;
   std::vector<int32_t> closest_;

@@ -7,9 +7,9 @@
 //   reduce:   (K, [V]) -> Out, one group per reduce call
 //
 // The engine executes map tasks and reduce groups on a ThreadPool, but its
-// output is bit-identical for any thread count: per-task emissions are
-// collected separately and folded in task order, and reduce outputs are
-// emitted in key order.
+// output is bit-identical for any thread count: map tasks are submitted
+// in task order, per-task emissions are collected separately and folded
+// in task order, and reduce outputs are emitted in key order.
 //
 // This is the substrate on which the parallel k-means|| of paper §3.5
 // runs (cost job, sampling job, weight job, Lloyd job — see
@@ -69,17 +69,6 @@ class Job {
 
   Job& WithMap(MapFn map) {
     map_ = std::move(map);
-    return *this;
-  }
-  /// Permutes the order map tasks are SUBMITTED to the pool (must be a
-  /// permutation of [0, partitions.size()) when non-empty). Execution
-  /// order never affects results — per-task emissions are still folded
-  /// in task-index order — so this is a pure scheduling lever: a
-  /// shard-aware order (mapreduce::MakeMapTaskSchedule) starts a
-  /// concurrent wave on distinct shards of an out-of-core source instead
-  /// of piling it onto neighboring partitions that share shards.
-  Job& WithSubmissionOrder(std::vector<int64_t> order) {
-    submission_order_ = std::move(order);
     return *this;
   }
   Job& WithCombine(CombineFn combine) {
@@ -196,19 +185,10 @@ class Job {
         }
       }
     };
-    const bool ordered =
-        static_cast<int64_t>(submission_order_.size()) == num_tasks;
-    auto task_at = [&](int64_t p) {
-      const int64_t t =
-          ordered ? submission_order_[static_cast<size_t>(p)] : p;
-      KMEANSLL_CHECK(t >= 0 && t < num_tasks);
-      return t;
-    };
     if (pool == nullptr) {
-      for (int64_t p = 0; p < num_tasks; ++p) run_map_task(task_at(p));
+      for (int64_t t = 0; t < num_tasks; ++t) run_map_task(t);
     } else {
-      for (int64_t p = 0; p < num_tasks; ++p) {
-        const int64_t t = task_at(p);
+      for (int64_t t = 0; t < num_tasks; ++t) {
         pool->Submit([&run_map_task, t] { run_map_task(t); });
       }
       pool->Wait();
@@ -301,7 +281,6 @@ class Job {
   MapFn map_;
   CombineFn combine_;
   ReduceFn reduce_;
-  std::vector<int64_t> submission_order_;  // empty = ascending
   Counters* counters_ = nullptr;
   int max_task_attempts_ = 3;
   Status* error_out_ = nullptr;  // borrowed; null = abort on failure

@@ -38,7 +38,6 @@
 #include "common/macros.h"
 #include "common/status.h"
 #include "matrix/matrix.h"
-#include "parallel/parallel_for.h"
 
 namespace kmeansll {
 
@@ -170,22 +169,13 @@ class DatasetSource {
     (void)end;
   }
 
-  /// Row ranges of the source's residency units — the granularity at
-  /// which rows become resident together (the shard table of a
-  /// ShardedDataset). Ascending and contiguous when non-empty. Empty
-  /// means the source is uniformly resident (in-memory) and scan
-  /// scheduling has nothing to exploit.
+  /// No caller; kept only because perfbench's CountingSource overrides it.
   virtual std::vector<std::pair<int64_t, int64_t>> ResidencyRanges()
       const {
     return {};
   }
 
-  /// How many residency units the source can keep resident at once
-  /// under its memory budget (0 = unbounded). MakeScanSchedule caps the
-  /// number of concurrently streamed shard sequences with this so a
-  /// pool never scans more distinct shards at a time than the eviction
-  /// window can hold — beyond it, workers just thrash each other's
-  /// mappings.
+  /// No caller; kept only because perfbench's CountingSource overrides it.
   virtual int64_t ResidentUnitCapacity() const { return 0; }
 
   /// Sticky health of the source. Pin has no error channel (a scan must
@@ -226,9 +216,9 @@ class InMemorySource final : public DatasetSource {
 };
 
 /// Rows [0, n) of another source, at a fixed n however far `base` grows
-/// meanwhile. Pins, weights, health and the residency window forward to
-/// `base`; ResidencyRanges is clipped to [0, n). `base` must outlive the
-/// view, hold at least n rows, and never change rows it already holds.
+/// meanwhile. Pins, weights and health forward to `base`. `base` must
+/// outlive the view, hold at least n rows, and never change rows it
+/// already holds.
 class PrefixSource final : public DatasetSource {
  public:
   PrefixSource(const DatasetSource& base, int64_t n) : base_(base), n_(n) {
@@ -244,10 +234,6 @@ class PrefixSource final : public DatasetSource {
   PinnedBlock Pin(int64_t begin, int64_t end) const override {
     KMEANSLL_CHECK(begin >= 0 && begin < end && end <= n_);
     return base_.Pin(begin, end);
-  }
-  std::vector<std::pair<int64_t, int64_t>> ResidencyRanges() const override;
-  int64_t ResidentUnitCapacity() const override {
-    return base_.ResidentUnitCapacity();
   }
   Status status() const override { return base_.status(); }
 
@@ -270,18 +256,6 @@ void ForEachBlock(const DatasetSource& source, int64_t begin, int64_t end,
     fn(view);
   }
 }
-
-/// Builds the shard-aware execution schedule for one chunked pass over
-/// [0, total) rows of `source` (see ScanSchedule in
-/// parallel/parallel_for.h). The deterministic chunk grid is split into
-/// min(workers, shards, ResidentUnitCapacity()) groups of contiguous
-/// shard spans and submission round-robins across the groups, so the
-/// pool's workers advance through disjoint shard sequences instead of
-/// pinning the same shard in lock step. Returns an empty schedule
-/// (ascending submission; callers may pass it) when there is no pool,
-/// fewer than two groups, or a trivially small pass.
-ScanSchedule MakeScanSchedule(const DatasetSource& source, int64_t total,
-                              ThreadPool* pool);
 
 /// Copies the selected global rows' points into a dense matrix (the
 /// source-agnostic analog of Matrix::GatherRows). Indices need not be

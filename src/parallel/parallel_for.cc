@@ -21,24 +21,16 @@ std::vector<IndexRange> MakeChunks(int64_t total, int64_t max_chunks) {
 }
 
 void ParallelFor(ThreadPool* pool, int64_t total,
-                 const std::function<void(IndexRange)>& body,
-                 const ScanSchedule* schedule) {
+                 const std::function<void(IndexRange)>& body) {
   if (total <= 0) return;
-  if (pool == nullptr && schedule == nullptr) {
-    body(IndexRange{0, total});
-    return;
-  }
-  std::vector<IndexRange> chunks = MakeChunks(total, kDeterministicChunks);
-  const bool reordered = schedule != nullptr && !schedule->order.empty();
-  auto run_position = [&](size_t p) {
-    body(chunks[reordered ? schedule->order[p] : p]);
-  };
+  const std::vector<IndexRange> chunks =
+      MakeChunks(total, kDeterministicChunks);
   if (pool == nullptr) {
-    for (size_t p = 0; p < chunks.size(); ++p) run_position(p);
+    for (const IndexRange& r : chunks) body(r);
     return;
   }
-  for (size_t p = 0; p < chunks.size(); ++p) {
-    pool->Submit([&run_position, p] { run_position(p); });
+  for (const IndexRange& r : chunks) {
+    pool->Submit([&body, r] { body(r); });
   }
   pool->Wait();
 }

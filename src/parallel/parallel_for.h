@@ -34,51 +34,29 @@ std::vector<IndexRange> MakeChunks(int64_t total, int64_t max_chunks);
 /// at any parallelism.
 inline constexpr int64_t kDeterministicChunks = 64;
 
-/// Execution schedule for a chunked pass over a storage-backed range
-/// (built by MakeScanSchedule in matrix/dataset_view.h). `order` permutes
-/// chunk *submission* so concurrently running workers scan distinct
-/// shards of an out-of-core source instead of piling onto one shard's
-/// pin. It changes WHEN chunks run, never what they compute: reductions
-/// still fold per-chunk partials in ascending chunk-index order, so
-/// results are bitwise identical with or without a schedule, at any
-/// thread count.
-struct ScanSchedule {
-  std::vector<size_t> order;  ///< submission order; empty = ascending
-};
-
-/// Runs body(range) for each chunk of [0, total) on the pool. Blocks until
-/// all chunks complete. `pool` may be null: runs inline (sequentially).
-/// `schedule` (may be null) reorders chunk submission; it never changes
-/// the chunk grid. Passing a schedule — even an empty one — also opts
-/// the sequential path into the fixed chunk grid (chunk-by-chunk,
-/// ascending), so consumers whose per-row values could depend on tile
-/// origins see the pooled path's grid at every pool size; with no
-/// schedule the sequential path runs the whole range as one body call.
+/// Runs body(range) for each chunk of the fixed grid
+/// MakeChunks(total, kDeterministicChunks) on the pool, and blocks until
+/// all chunks complete. `pool` may be null: the same chunks then run
+/// inline in ascending order, so a body whose per-row values could
+/// depend on tile origins sees one grid at every pool size.
 void ParallelFor(ThreadPool* pool, int64_t total,
-                 const std::function<void(IndexRange)>& body,
-                 const ScanSchedule* schedule = nullptr);
+                 const std::function<void(IndexRange)>& body);
 
 /// Map-reduce over chunks: `map` produces a partial P per chunk, and the
 /// partials are folded left-to-right in chunk order by `combine` into
-/// `init`. Deterministic for any thread count; `schedule` (may be null)
-/// affects submission order only, never the fold order.
+/// `init`. Deterministic for any thread count: chunks are submitted in
+/// index order and folded in index order.
 template <typename P>
 P ParallelReduce(ThreadPool* pool, int64_t total, P init,
                  const std::function<P(IndexRange)>& map,
-                 const std::function<P(P, P)>& combine,
-                 const ScanSchedule* schedule = nullptr) {
+                 const std::function<P(P, P)>& combine) {
   std::vector<IndexRange> chunks = MakeChunks(total, kDeterministicChunks);
   std::vector<P> partials(chunks.size());
-  const bool reordered = schedule != nullptr && !schedule->order.empty();
-  auto run_position = [&](size_t p) {
-    const size_t c = reordered ? schedule->order[p] : p;
-    partials[c] = map(chunks[c]);
-  };
   if (pool == nullptr) {
-    for (size_t p = 0; p < chunks.size(); ++p) run_position(p);
+    for (size_t c = 0; c < chunks.size(); ++c) partials[c] = map(chunks[c]);
   } else {
-    for (size_t p = 0; p < chunks.size(); ++p) {
-      pool->Submit([&run_position, p] { run_position(p); });
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      pool->Submit([&, c] { partials[c] = map(chunks[c]); });
     }
     pool->Wait();
   }

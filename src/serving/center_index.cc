@@ -137,17 +137,25 @@ void CenterIndex::BuildPruned(ThreadPool* pool) {
   // seeding. Reduced rounds and oversampling keep the build cheap:
   // grouping quality only moves scan counts, never results,
   // so a slightly worse coarse clustering costs QPS, not correctness.
+  // The seed is fixed: the grouping must not depend on anything
+  // per-process. The Lloyd iterations tighten the coarse clusters, so
+  // group radii shrink and the lower bounds sharpen, for a few
+  // build-time passes over the k centers (cheap next to the panel pack
+  // at serving scale).
+  constexpr uint64_t kCoarseSeed = 0x9E3779B97F4A7C15ULL;
+  constexpr int64_t kCoarseRounds = 3;
+  constexpr int64_t kCoarseIterations = 8;
   Dataset center_data{Matrix(centers_)};
   KMeansLLOptions seed_opts;
   seed_opts.oversampling = static_cast<double>(g);
-  seed_opts.rounds = std::max<int64_t>(1, options_.coarse_rounds);
+  seed_opts.rounds = kCoarseRounds;
   Result<InitResult> init = KMeansLLInit(
-      center_data, g, rng::Rng(options_.coarse_seed), seed_opts, pool);
+      center_data, g, rng::Rng(kCoarseSeed), seed_opts, pool);
   if (!init.ok()) return;  // flat serving; counted as exact_fallbacks
   Matrix coarse = std::move(init.ValueOrDie().centers);
-  if (options_.coarse_iterations > 0 && coarse.rows() > 0) {
+  if (coarse.rows() > 0) {
     LloydOptions lloyd_opts;
-    lloyd_opts.max_iterations = options_.coarse_iterations;
+    lloyd_opts.max_iterations = kCoarseIterations;
     Result<LloydResult> refined =
         RunLloyd(center_data, coarse, lloyd_opts, pool);
     if (refined.ok()) coarse = std::move(refined.ValueOrDie().centers);

@@ -79,18 +79,6 @@ struct CenterIndexOptions {
   /// Coarse group count; 0 picks ⌈√k⌉ (balances the g-distance coarse
   /// pass against the k/g-sized group scans).
   int64_t num_groups = 0;
-  /// Seed of the coarse k-means over the centers. Fixed default: the
-  /// grouping must not depend on anything per-process. (Exact-mode
-  /// Results never depend on the grouping — only scan counts do.)
-  uint64_t coarse_seed = 0x9E3779B97F4A7C15ULL;
-  /// k-means|| rounds for the coarse seeding (build cost knob).
-  int64_t coarse_rounds = 3;
-  /// Lloyd iterations refining the coarse centers (build cost knob;
-  /// 0 = use the k-means|| seed as-is). Tighter coarse clusters mean
-  /// smaller group radii and therefore sharper lower bounds — the
-  /// default buys prune power with a few extra build-time passes over
-  /// the k centers (cheap next to the panel pack at serving scale).
-  int64_t coarse_iterations = 8;
 };
 
 /// Snapshot of the pruned-path effectiveness counters (wait-free relaxed

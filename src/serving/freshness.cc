@@ -247,6 +247,7 @@ Status RefineLoop::RunOnceLocked() {
     scored_centers_ = next;
   }
   const double post_cpp = post_cost / static_cast<double>(n);
+  constexpr double kEwmaAlpha = 0.25;  // weight on the newest cycle
 
   // Commit order: advance the loop state, persist it WITH the new
   // centers, and only then publish. A crash before the checkpoint
@@ -255,8 +256,7 @@ Status RefineLoop::RunOnceLocked() {
   cycle_ += 1;
   watermark_ = n;
   ewma_ = ewma_ == 0 ? post_cpp
-                     : options_.ewma_alpha * post_cpp +
-                           (1 - options_.ewma_alpha) * ewma_;
+                     : kEwmaAlpha * post_cpp + (1 - kEwmaAlpha) * ewma_;
   cost_history_.push_back(post_cpp);
   KMEANSLL_RETURN_NOT_OK(WriteCheckpointLocked(next));
   KMEANSLL_RETURN_NOT_OK(server_->Refine(

@@ -82,11 +82,10 @@ struct RefineLoopOptions {
   int64_t min_new_rows = 1;
 
   /// Reseed trigger: run the full pipeline when the served model's
-  /// cost-per-point exceeds ratio * EWMA(post-refine cost-per-point).
-  /// Until the first cycle establishes a baseline, minibatch is used.
+  /// cost-per-point exceeds ratio * EWMA(post-refine cost-per-point),
+  /// an EWMA that weighs the newest cycle 0.25. Until the first cycle
+  /// establishes a baseline, minibatch is used.
   double drift_reseed_ratio = 1.5;
-  /// EWMA weight on the newest post-refine cost-per-point.
-  double ewma_alpha = 0.25;
 
   /// The cheap repair: mini-batch SGD from the served centers.
   MiniBatchOptions minibatch;

@@ -69,9 +69,8 @@ struct FaultGuard {
   ~FaultGuard() { FaultInjector::Global().Reset(); }
 };
 
-std::string TempPath(const std::string& name) {
-  return ScratchPath("kmll_fault_" + name);
-}
+[[maybe_unused]] ::testing::Environment* const kRemoveScratchFiles =
+    ::testing::AddGlobalTestEnvironment(new RemoveScratchFiles);
 
 /// Deterministic hashed-uniform dataset (no weights/labels: the fault
 /// matrix compares numeric trajectories, not metadata plumbing).
@@ -203,7 +202,7 @@ TEST(FaultInjectorTest, ArmAndResetRaceCheck) {
   // read of the site made outside the injector's lock.
   FaultGuard guard;
   FaultInjector& injector = FaultInjector::Global();
-  std::atomic<bool> done{false};
+  std::atomic<bool> started{false}, done{false};
   int64_t checks = 0, fired = 0, wrong_kind = 0;
   std::thread checker([&] {
     while (!done.load(std::memory_order_acquire)) {
@@ -213,8 +212,12 @@ TEST(FaultInjectorTest, ArmAndResetRaceCheck) {
         if (kind != FaultKind::kCrcError) ++wrong_kind;
       }
       ++checks;
+      started.store(true, std::memory_order_release);
     }
   });
+  // The loop below can finish before a freshly started thread runs at
+  // all; start it only once the checker is checking.
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   for (int i = 0; i < 20000; ++i) {
     injector.Arm("t.race", FaultRule{.kind = FaultKind::kCrcError,
                                      .probability = 1.0,

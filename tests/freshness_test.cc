@@ -75,9 +75,8 @@ struct FaultGuard {
   ~FaultGuard() { FaultInjector::Global().Reset(); }
 };
 
-std::string TempPath(const std::string& name) {
-  return ScratchPath("kmll_fresh_" + name);
-}
+[[maybe_unused]] ::testing::Environment* const kRemoveScratchFiles =
+    ::testing::AddGlobalTestEnvironment(new RemoveScratchFiles);
 
 void CleanBase(const std::string& base) {
   std::remove((base + ".oplog").c_str());
@@ -512,12 +511,6 @@ class CountingSource final : public DatasetSource {
     PinnedBlock block = inner_->Pin(begin, end);
     rows_.fetch_add(block.view().rows());
     return block;
-  }
-  std::vector<std::pair<int64_t, int64_t>> ResidencyRanges() const override {
-    return inner_->ResidencyRanges();
-  }
-  int64_t ResidentUnitCapacity() const override {
-    return inner_->ResidentUnitCapacity();
   }
   Status status() const override { return inner_->status(); }
 

@@ -62,9 +62,8 @@ struct FaultGuard {
   ~FaultGuard() { FaultInjector::Global().Reset(); }
 };
 
-std::string TempPath(const std::string& name) {
-  return ScratchPath("kmll_live_" + name);
-}
+[[maybe_unused]] ::testing::Environment* const kRemoveScratchFiles =
+    ::testing::AddGlobalTestEnvironment(new RemoveScratchFiles);
 
 /// Removes every file a LiveDataset rooted at `base` can leave behind,
 /// so reruns of one test binary start from a clean slate.

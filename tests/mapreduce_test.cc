@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -210,143 +209,6 @@ TEST(PartitionTest, MakePartitionsCoversDataset) {
     }
   }
   EXPECT_EQ(covered, 103);
-}
-
-TEST(PartitionTest, AlignedPartitionsFollowGivenRanges) {
-  Dataset data(Matrix(100, 2));
-  InMemorySource source = data.AsSource();
-  std::vector<std::pair<int64_t, int64_t>> ranges = {
-      {0, 40}, {40, 70}, {70, 100}};
-  auto parts = MakeAlignedPartitions(source, ranges);
-  ASSERT_EQ(parts.size(), 3u);
-  for (size_t p = 0; p < parts.size(); ++p) {
-    EXPECT_EQ(parts[p].source, &source);
-    EXPECT_EQ(parts[p].begin, ranges[p].first);
-    EXPECT_EQ(parts[p].end, ranges[p].second);
-  }
-}
-
-// In-memory source with a fake shard table, so the count-aware aligned
-// split and the map-task schedule can be tested without disk.
-class FakeShardedSource final : public DatasetSource {
- public:
-  FakeShardedSource(const Dataset& data,
-                    std::vector<std::pair<int64_t, int64_t>> ranges)
-      : inner_(data.AsSource()), ranges_(std::move(ranges)) {}
-
-  int64_t n() const override { return inner_.n(); }
-  int64_t dim() const override { return inner_.dim(); }
-  bool has_weights() const override { return inner_.has_weights(); }
-  bool has_labels() const override { return inner_.has_labels(); }
-  double TotalWeight() const override { return inner_.TotalWeight(); }
-  PinnedBlock Pin(int64_t begin, int64_t end) const override {
-    return inner_.Pin(begin, end);
-  }
-  std::vector<std::pair<int64_t, int64_t>> ResidencyRanges()
-      const override {
-    return ranges_;
-  }
-
- private:
-  InMemorySource inner_;
-  std::vector<std::pair<int64_t, int64_t>> ranges_;
-};
-
-void ExpectCoversContiguously(const std::vector<DataPartition>& parts,
-                              int64_t n) {
-  ASSERT_FALSE(parts.empty());
-  EXPECT_EQ(parts.front().begin, 0);
-  EXPECT_EQ(parts.back().end, n);
-  for (size_t p = 1; p < parts.size(); ++p) {
-    EXPECT_EQ(parts[p].begin, parts[p - 1].end);
-    EXPECT_GT(parts[p].size(), 0);
-  }
-}
-
-TEST(PartitionTest, CountAlignedPartitionsGroupWholeShards) {
-  Dataset data(Matrix(120, 2));
-  FakeShardedSource source(
-      data, {{0, 30}, {30, 60}, {60, 90}, {90, 120}});
-  // Fewer partitions than shards: whole-shard groups.
-  auto parts = MakeAlignedPartitions(source, /*num_partitions=*/2);
-  ASSERT_EQ(parts.size(), 2u);
-  ExpectCoversContiguously(parts, 120);
-  EXPECT_EQ(parts[0].end, 60);  // shard boundary
-}
-
-TEST(PartitionTest, CountAlignedPartitionsSplitWithinShards) {
-  Dataset data(Matrix(120, 2));
-  const std::vector<std::pair<int64_t, int64_t>> shards = {
-      {0, 40}, {40, 80}, {80, 120}};
-  FakeShardedSource source(data, shards);
-  // More partitions than shards: no partition straddles a boundary.
-  auto parts = MakeAlignedPartitions(source, /*num_partitions=*/7);
-  ASSERT_EQ(parts.size(), 7u);
-  ExpectCoversContiguously(parts, 120);
-  for (const auto& part : parts) {
-    bool inside_one_shard = false;
-    for (const auto& [begin, end] : shards) {
-      inside_one_shard |= part.begin >= begin && part.end <= end;
-    }
-    EXPECT_TRUE(inside_one_shard)
-        << "[" << part.begin << ", " << part.end << ")";
-  }
-}
-
-TEST(PartitionTest, CountAlignedFallsBackWithoutResidencyRanges) {
-  Dataset data(Matrix(103, 2));
-  InMemorySource source = data.AsSource();
-  auto aligned = MakeAlignedPartitions(source, 8);
-  auto plain = MakePartitions(source, 8);
-  ASSERT_EQ(aligned.size(), plain.size());
-  for (size_t p = 0; p < plain.size(); ++p) {
-    EXPECT_EQ(aligned[p].begin, plain[p].begin);
-    EXPECT_EQ(aligned[p].end, plain[p].end);
-  }
-}
-
-TEST(PartitionTest, MapTaskScheduleIsAPermutationAcrossShardSpans) {
-  Dataset data(Matrix(160, 2));
-  const std::vector<std::pair<int64_t, int64_t>> shards = {
-      {0, 40}, {40, 80}, {80, 120}, {120, 160}};
-  FakeShardedSource source(data, shards);
-  // 8 partitions over 4 shards, 2 workers: tasks split into 2 shard
-  // spans; the first wave must touch both spans.
-  auto parts = MakePartitions(source, 8);
-  auto schedule = MakeMapTaskSchedule(source, parts, /*workers=*/2);
-  ASSERT_EQ(schedule.order.size(), 8u);
-  std::vector<int64_t> sorted = schedule.order;
-  std::sort(sorted.begin(), sorted.end());
-  for (int64_t t = 0; t < 8; ++t) EXPECT_EQ(sorted[static_cast<size_t>(t)], t);
-  // Round-robin across two groups: consecutive submissions alternate
-  // between the low-shard span and the high-shard span.
-  EXPECT_LT(parts[static_cast<size_t>(schedule.order[0])].begin, 80);
-  EXPECT_GE(parts[static_cast<size_t>(schedule.order[1])].begin, 80);
-}
-
-TEST(MapReduceTest, SubmissionOrderDoesNotChangeResults) {
-  ThreadPool pool(4);
-  Job<std::string, std::string, int64_t, WordCount> job;
-  job.WithMap([](int64_t, const std::string& doc,
-                 Emitter<std::string, int64_t>* out) {
-    std::string word;
-    for (char c : doc + " ") {
-      if (c == ' ') {
-        if (!word.empty()) out->Emit(word, 1);
-        word.clear();
-      } else {
-        word.push_back(c);
-      }
-    }
-  });
-  job.WithReduce([](const std::string& word, std::vector<int64_t>& counts) {
-    int64_t total = 0;
-    for (int64_t c : counts) total += c;
-    return WordCount{word, total};
-  });
-  job.WithSubmissionOrder({2, 0, 1});
-  ExpectWordCounts(job.Run(&pool, kDocs));
-  ExpectWordCounts(job.Run(nullptr, kDocs));  // inline path honors it too
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -96,6 +99,32 @@ TEST(ParallelForTest, NullPoolRunsInline) {
     for (int64_t i = r.begin; i < r.end; ++i) sum += i;
   });
   EXPECT_EQ(sum, 4950);
+}
+
+TEST(ParallelForTest, SameChunkGridWithOrWithoutPool) {
+  for (int64_t n : {1, 63, 64, 10000}) {
+    const std::vector<IndexRange> grid = MakeChunks(n, kDeterministicChunks);
+    for (int threads : {0, 1, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n " << n << ", " << threads << " threads");
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+      std::mutex mu;
+      std::vector<IndexRange> seen;
+      ParallelFor(pool.get(), n, [&](IndexRange r) {
+        std::lock_guard<std::mutex> lock(mu);
+        seen.push_back(r);
+      });
+      std::sort(seen.begin(), seen.end(), [](IndexRange a, IndexRange b) {
+        return a.begin < b.begin;
+      });
+      ASSERT_EQ(seen.size(), grid.size());
+      for (size_t c = 0; c < grid.size(); ++c) {
+        EXPECT_EQ(seen[c].begin, grid[c].begin) << "chunk " << c;
+        EXPECT_EQ(seen[c].end, grid[c].end) << "chunk " << c;
+      }
+    }
+  }
 }
 
 TEST(ParallelForTest, ZeroTotalIsNoop) {

@@ -13,15 +13,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "clustering/cost.h"
 #include "clustering/init_kmeansll.h"
@@ -53,31 +49,6 @@ using fault::FaultInjector;
 using fault::FaultKind;
 using fault::FaultRule;
 
-/// Name prefix of this process's scratch files: unique per process, so
-/// concurrent runs of this binary never map (or truncate) each other's
-/// shards.
-std::string ScratchPrefix() {
-  return "kmll_shard_" + std::to_string(::getpid()) + "_";
-}
-
-std::string TempPath(const std::string& name) {
-  return ScratchPath(ScratchPrefix() + name);
-}
-
-/// Deletes this process's scratch files (manifests and their shards)
-/// after the last test, so per-process names do not pile up.
-class RemoveScratchFiles : public ::testing::Environment {
- public:
-  void TearDown() override {
-    std::error_code ec;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(::testing::TempDir(), ec)) {
-      if (entry.path().filename().string().starts_with(ScratchPrefix())) {
-        std::filesystem::remove(entry.path(), ec);
-      }
-    }
-  }
-};
 [[maybe_unused]] ::testing::Environment* const kRemoveScratchFiles =
     ::testing::AddGlobalTestEnvironment(new RemoveScratchFiles);
 
