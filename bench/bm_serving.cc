@@ -1,8 +1,11 @@
 // Serving-layer benchmark (src/serving): online nearest-center QPS and
 // latency across the shapes the README "Serving" table reports.
 //
-//   * AssignOneSingleThread — the per-query baseline (one-row panel
-//     scan).
+//   * AssignOneSingleThread — the per-query baseline (one-row scan
+//     through the fp32 screen).
+//   * AssignOneInTurn — the same one-row scan over eight k = 4096,
+//     d = 64 indexes queried in turn (perfbench serve_zipf's tenant
+//     shape), so each query finds its panels colder than a warm loop.
 //   * UnbatchedThreads — N serving threads each calling AssignOne
 //     directly on the shared snapshot (no coordination, one-row scans).
 //   * BatcherThreads — the same N threads going through RequestBatcher
@@ -33,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -41,6 +45,8 @@
 #include "clustering/cost.h"
 #include "common/fault_injection.h"
 #include "common/math_util.h"
+#include "distance/batch.h"
+#include "distance/nearest.h"
 #include "matrix/dataset.h"
 #include "matrix/dataset_view.h"
 #include "matrix/matrix.h"
@@ -106,6 +112,30 @@ void BM_AssignOneSingleThread(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AssignOneSingleThread);
+
+void BM_AssignOneInTurn(benchmark::State& state) {
+  constexpr int64_t kTenants = 8;
+  constexpr int64_t kTenantK = 4096;
+  constexpr int64_t kTenantDim = 64;
+  static const auto* tenants = [] {
+    auto* indexes = new std::vector<std::shared_ptr<const CenterIndex>>;
+    for (int64_t t = 0; t < kTenants; ++t) {
+      indexes->push_back(CenterIndex::Build(
+          RandomMatrix(kTenantK, kTenantDim, 100 + static_cast<uint64_t>(t))));
+    }
+    return indexes;
+  }();
+  static const Matrix queries = RandomMatrix(kQueries, kTenantDim, 12);
+  int64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        (*tenants)[static_cast<size_t>(i % kTenants)]->AssignOne(
+            queries.Row(i)));
+    i = (i + 1) % kQueries;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AssignOneInTurn);
 
 void BM_UnbatchedThreads(benchmark::State& state) {
   Fixture& f = SharedFixture(kK, kD);
@@ -497,6 +527,37 @@ void BM_ServingSmoke(benchmark::State& state) {
       std::exit(1);
     }
     index = server.Acquire();
+  }
+  // One-row answers at d >= 32 go through the fp32 screen; they must be
+  // the unscreened engine's bit for bit.
+  const int64_t screened_k = 256, screened_d = 64, m = 4;
+  Matrix screened_centers = RandomMatrix(screened_k, screened_d, 77);
+  Matrix screened_queries = RandomMatrix(n, screened_d, 88);
+  const auto screened = CenterIndex::Build(Matrix(screened_centers));
+  CenterPanels panels;
+  panels.Pack(screened_centers);
+  const std::vector<double> norms = RowSquaredNorms(screened_centers);
+  for (int64_t i = 0; i < n; ++i) {
+    const ConstMatrixView row(screened_queries.Row(i), 1, screened_d);
+    double want_d2 = std::numeric_limits<double>::infinity();
+    int32_t want_index = -1;
+    BatchNearestMerge(row, IndexRange{0, 1}, nullptr, panels, norms.data(),
+                      BatchKernel::kExpanded, &want_d2, &want_index);
+    std::vector<int32_t> want_top(m);
+    std::vector<double> want_top_d2(m);
+    BatchTopM(row, IndexRange{0, 1}, nullptr, panels, norms.data(),
+              BatchKernel::kExpanded, m, want_top.data(),
+              want_top_d2.data());
+    const NearestResult one = screened->AssignOne(screened_queries.Row(i));
+    std::vector<int32_t> top;
+    std::vector<double> top_d2;
+    screened->AssignTopM(screened_queries.Row(i), m, &top, &top_d2);
+    if (one.index != want_index || one.distance2 != want_d2 ||
+        top != want_top || top_d2 != want_top_d2) {
+      std::fprintf(stderr,
+                   "FATAL: screened answer diverged from the engine\n");
+      std::exit(1);
+    }
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

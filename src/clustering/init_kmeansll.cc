@@ -198,8 +198,8 @@ Result<OversampledCandidates> OversampleCandidates(
     }
 
     int64_t previous = candidates.rows();
-    // `chosen` is sorted, so the gather pins each shard at most once and
-    // block-copies contiguous runs.
+    // `chosen` is sorted: the gather pins each run of consecutive rows
+    // once and block-copies it, touching only the chosen rows.
     candidates.AppendRows(GatherPoints(data, chosen));
     tracker.AddCenters(candidates, previous);
     result.telemetry.data_passes += 2;  // sampling pass + distance update

@@ -19,7 +19,8 @@ namespace kmeansll {
 Result<InitResult> RandomInit(const Dataset& data, int64_t k, rng::Rng rng);
 
 /// As above over a DatasetSource (the selection touches no point data
-/// until the final gather, which pins each shard at most once).
+/// until the final gather, which pins only the chosen rows, each run of
+/// consecutive ones once).
 Result<InitResult> RandomInit(const DatasetSource& data, int64_t k,
                               rng::Rng rng);
 

@@ -390,7 +390,8 @@ Result<InitResult> MRKMeansLLInit(const DatasetSource& data, int64_t k,
     result.telemetry.data_passes += 1;
 
     int64_t previous = candidates.rows();
-    // `chosen` is sorted: the gather pins each shard at most once.
+    // `chosen` is sorted: the gather pins each run of consecutive rows
+    // once, touching only the chosen rows.
     candidates.AppendRows(GatherPoints(data, chosen));
     KMEANSLL_ASSIGN_OR_RETURN(
         phi, RunUpdateCostJob(data, candidates, previous, &state, ctx));

@@ -739,10 +739,6 @@ bool ShardedDataset::has_labels() const {
   return impl_->manifest.has_labels;
 }
 
-int64_t ShardedDataset::num_shards() const {
-  return static_cast<int64_t>(impl_->shards.size());
-}
-
 const ShardManifest& ShardedDataset::manifest() const {
   return impl_->manifest;
 }

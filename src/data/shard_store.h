@@ -232,8 +232,6 @@ class ShardedDataset final : public DatasetSource {
   /// *scan*, never the process.
   Status status() const override;
 
-  int64_t num_shards() const;
-
   const ShardManifest& manifest() const;
   IoStats io_stats() const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -116,6 +117,76 @@ void SqPanelTailGeneric(const double* x, const double* panel, int64_t d,
       acc[j] += e * e;
     }
   }
+}
+
+// --- The one-row screen's certificate -------------------------------------
+//
+// Inputs. x is the query and c a center; every coordinate of both is 0 or
+// of magnitude in [2^-50, 2^50] (kScreenMin, kScreenMax), so no float
+// conversion overflows and no nonzero float product is subnormal, and
+// d < 2^20. pn is ||x||² as the engine has it (the SquaredNorm chain, or
+// the caller's point norm) and cn the stored ||c||². D is the engine's
+// value SquaredL2Expanded(pn, cn, PairDotProduct(x, c, d)) and D̃ the same
+// before its clamp at +0. s is a float dot product of (float)x and
+// (float)c, summed in any order, and v = (pn + cn) − 2·(double)s.
+//
+// Bound. |D̃ − v| ≤ e = κ_d·(pn + cn) with κ_d = 4(d + 4)·u, u = 2^-24,
+// from four facts (Higham, Accuracy and Stability of Numerical
+// Algorithms, 2nd ed., §3.1):
+//  * rounding x and c to float moves x·c by at most (2u + u²)·Σ|x_t c_t|;
+//  * the float dot adds at most γ_d(1 + u)²·Σ|x_t c_t|, γ_d = du/(1 − du),
+//    in any summation order;
+//  * Σ|x_t c_t| ≤ ||x||·||c|| ≤ (||x||² + ||c||²)/2, which is (pn + cn)/2
+//    up to the norms' own (d + 1)·2^-53 relative error;
+//  * the double dot chain, the norms, and the operations that form v and
+//    the bounds add less than 8(d + 2)·2^-53·(pn + cn).
+// v carries twice the float dot's error, so the total stays under
+// (d + 3)·u·(pn + cn), and κ_d has a 4× margin. A partial float sum that
+// cancels below 2^-126 errs by at most 2^-150 per step, d·2^-150 in all:
+// far below e whenever x or c is nonzero (then pn + cn ≥ 2^-100), and
+// when both are zero every value here is exactly 0.
+//
+// Candidate set. D clamps at +0, so lower = v − e ≤ D ≤ upper =
+// max(0, v + e). Let U be the m-th least upper bound (ScreenedTopM only
+// runs with m ≤ k). At least m centers have D ≤ U, so the m-th least
+// engine value is at most U, and every center attaining one of the m
+// least values, ties included, has lower ≤ U. S = {j : lower_j ≤ U} thus
+// holds every center that BatchTopM's strict-< ascending merge keeps, and
+// the same merge over S in ascending index yields the same slots.
+double ScreenKappa(int64_t d) {
+  return 4.0 * static_cast<double>(d + 4) * 0x1p-24;
+}
+constexpr double kScreenMin = 0x1p-50;
+constexpr double kScreenMax = 0x1p50;
+constexpr int64_t kScreenMaxDim = int64_t{1} << 20;
+
+// A NaN fails every comparison and so is out of range.
+inline bool InScreenRange(double v) {
+  const double a = std::fabs(v);
+  return a == 0.0 || (a >= kScreenMin && a <= kScreenMax);
+}
+
+// A candidate's re-rank is one latency-bound FMA chain, about as costly
+// as kScreenShare centers of the panel scan. So a row keeps at most
+// k / kScreenShare candidates, or it takes the engine scan, and no row
+// costs more than the screen pass plus the scan it replaces.
+constexpr int64_t kScreenShare = 16;
+
+// The top-m merge step: inserts (v, index) into m slots held ascending
+// when v is strictly below the last one. Fed in ascending index order,
+// an equal value never displaces or outranks an earlier center, so tied
+// centers sort by ascending index (see BatchTopM).
+inline void InsertTopM(double v, int32_t index, int64_t m, double* slot_d2,
+                       int32_t* slot_index) {
+  if (!(v < slot_d2[m - 1])) return;
+  int64_t s = m - 1;
+  while (s > 0 && v < slot_d2[s - 1]) {
+    slot_d2[s] = slot_d2[s - 1];
+    slot_index[s] = slot_index[s - 1];
+    --s;
+  }
+  slot_d2[s] = v;
+  slot_index[s] = index;
 }
 
 #if defined(__x86_64__)
@@ -454,6 +525,180 @@ __attribute__((target("avx512f,avx2,fma"))) void NearestBlockAvx512(
   }
 }
 
+// --- One-row fp32 screen kernels (see ScreenKappa) ----------------------
+//
+// Float dot products of one query against kPanels consecutive full panels
+// of the fp32 copy: 2·kPanels accumulators of 8 centers, so four panels
+// per coordinate step keep eight independent FMA chains in flight.
+template <int kPanels>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+ScreenPanelsAvx2(const float* x, const float* panels, int64_t d,
+                 float* out) {
+  const int64_t stride = kCenterTile * d;
+  __m256 acc[2 * kPanels];
+  for (int q = 0; q < 2 * kPanels; ++q) acc[q] = _mm256_setzero_ps();
+  for (int64_t t = 0; t < d; ++t) {
+    const __m256 xv = _mm256_broadcast_ss(x + t);
+    for (int q = 0; q < kPanels; ++q) {
+      const float* row = panels + q * stride + t * kCenterTile;
+      acc[2 * q] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(row), acc[2 * q]);
+      acc[2 * q + 1] =
+          _mm256_fmadd_ps(xv, _mm256_loadu_ps(row + 8), acc[2 * q + 1]);
+    }
+  }
+  for (int q = 0; q < 2 * kPanels; ++q) _mm256_storeu_ps(out + 8 * q, acc[q]);
+}
+
+// out[c] = a float dot product of x with packed center c, for all k.
+__attribute__((target("avx2,fma"))) void ScreenDotsAvx2(const float* x,
+                                                        const float* packed,
+                                                        int64_t k, int64_t d,
+                                                        float* out) {
+  const int64_t full = k / kCenterTile;
+  const int64_t stride = kCenterTile * d;
+  int64_t p = 0;
+  for (; p + 4 <= full; p += 4) {
+    ScreenPanelsAvx2<4>(x, packed + p * stride, d, out + p * kCenterTile);
+  }
+  for (; p < full; ++p) {
+    ScreenPanelsAvx2<1>(x, packed + p * stride, d, out + p * kCenterTile);
+  }
+  const int64_t width = k - full * kCenterTile;
+  if (width == 0) return;
+  const float* panel = packed + full * stride;
+  float* tail = out + full * kCenterTile;
+  for (int64_t j = 0; j < width; ++j) tail[j] = 0.0f;
+  for (int64_t t = 0; t < d; ++t) {
+    for (int64_t j = 0; j < width; ++j) {
+      tail[j] = __builtin_fmaf(x[t], panel[t * width + j], tail[j]);
+    }
+  }
+}
+
+// dst = (float)src over n values; false (dst unspecified) when one is
+// outside the certified range. Out-of-range lanes convert as 0, so no
+// conversion overflows.
+__attribute__((target("avx2,fma"))) bool ScreenConvertAvx2(const double* src,
+                                                           int64_t n,
+                                                           float* dst) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d lo = _mm256_set1_pd(kScreenMin);
+  const __m256d hi = _mm256_set1_pd(kScreenMax);
+  __m256d all_in = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_loadu_pd(src + i);
+    const __m256d a = _mm256_andnot_pd(sign, v);
+    const __m256d in = _mm256_or_pd(
+        _mm256_cmp_pd(a, zero, _CMP_EQ_OQ),
+        _mm256_and_pd(_mm256_cmp_pd(a, lo, _CMP_GE_OQ),
+                      _mm256_cmp_pd(a, hi, _CMP_LE_OQ)));
+    all_in = _mm256_and_pd(all_in, in);
+    _mm_storeu_ps(dst + i, _mm256_cvtpd_ps(_mm256_and_pd(v, in)));
+  }
+  bool ok = _mm256_movemask_pd(all_in) == 0xF;
+  for (; i < n; ++i) {
+    const bool in = InScreenRange(src[i]);
+    ok = ok && in;
+    dst[i] = static_cast<float>(in ? src[i] : 0.0);
+  }
+  return ok;
+}
+
+// The certified interval of four engine values from their float dots s:
+// with a = pn + cn, v = a − (s + s) and e = κ·a, lower = v − e and
+// upper = max(v + e, 0). ScreenBounds1 is the same for one center.
+__attribute__((target("avx2,fma"), always_inline)) inline void ScreenBounds4(
+    const float* s, const double* cn, __m256d pn, __m256d kappa,
+    __m256d* lower, __m256d* upper) {
+  const __m256d a = _mm256_add_pd(pn, _mm256_loadu_pd(cn));
+  const __m256d sd = _mm256_cvtps_pd(_mm_loadu_ps(s));
+  const __m256d v = _mm256_sub_pd(a, _mm256_add_pd(sd, sd));
+  const __m256d e = _mm256_mul_pd(kappa, a);
+  *lower = _mm256_sub_pd(v, e);
+  *upper = _mm256_max_pd(_mm256_add_pd(v, e), _mm256_setzero_pd());
+}
+
+inline void ScreenBounds1(float s, double cn, double pn, double kappa,
+                          double* lower, double* upper) {
+  const double a = pn + cn;
+  const double sd = static_cast<double>(s);
+  const double v = a - (sd + sd);
+  const double e = kappa * a;
+  *lower = v - e;
+  *upper = std::max(v + e, 0.0);
+}
+
+// Writes to *candidates, ascending, every center whose lower bound does
+// not exceed U, the m-th least upper bound; returns false as soon as more
+// than `cap` centers qualify.
+__attribute__((target("avx2,fma"))) bool ScreenSelectAvx2(
+    const float* s, double pn, const double* cn, int64_t k, double kappa,
+    int64_t m, int64_t cap, std::vector<int32_t>* candidates) {
+  const __m256d pn4 = _mm256_set1_pd(pn);
+  const __m256d kappa4 = _mm256_set1_pd(kappa);
+  // The m least upper bounds so far, ascending, and their centers.
+  std::vector<double> least(static_cast<size_t>(m),
+                            std::numeric_limits<double>::infinity());
+  std::vector<int32_t> least_index(static_cast<size_t>(m), -1);
+  __m256d lower = _mm256_setzero_pd();
+  __m256d upper = _mm256_setzero_pd();
+  double lo = 0.0;
+  double up = 0.0;
+  int64_t j = 0;
+  for (; j + 4 <= k; j += 4) {
+    ScreenBounds4(s + j, cn + j, pn4, kappa4, &lower, &upper);
+    unsigned below = static_cast<unsigned>(_mm256_movemask_pd(_mm256_cmp_pd(
+        upper, _mm256_set1_pd(least[m - 1]), _CMP_LT_OQ)));
+    if (below == 0) continue;
+    alignas(32) double ups[4];
+    _mm256_store_pd(ups, upper);
+    for (; below != 0; below &= below - 1) {
+      const int lane = std::countr_zero(below);
+      InsertTopM(ups[lane], static_cast<int32_t>(j + lane), m, least.data(),
+                 least_index.data());
+    }
+  }
+  for (; j < k; ++j) {
+    ScreenBounds1(s[j], cn[j], pn, kappa, &lo, &up);
+    InsertTopM(up, static_cast<int32_t>(j), m, least.data(),
+               least_index.data());
+  }
+  const double u = least[m - 1];
+  const __m256d u4 = _mm256_set1_pd(u);
+  candidates->clear();
+  for (j = 0; j + 4 <= k; j += 4) {
+    ScreenBounds4(s + j, cn + j, pn4, kappa4, &lower, &upper);
+    unsigned kept = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(lower, u4, _CMP_LE_OQ)));
+    for (; kept != 0; kept &= kept - 1) {
+      candidates->push_back(static_cast<int32_t>(j + std::countr_zero(kept)));
+    }
+    if (static_cast<int64_t>(candidates->size()) > cap) return false;
+  }
+  for (; j < k; ++j) {
+    ScreenBounds1(s[j], cn[j], pn, kappa, &lo, &up);
+    if (lo <= u) candidates->push_back(static_cast<int32_t>(j));
+  }
+  return static_cast<int64_t>(candidates->size()) <= cap;
+}
+
+// The engine's per-pair dot of x with one packed center, read down the
+// center's panel column (`stride` apart): the lane chain of the panel
+// kernels and PairDotFma's, acc = fma(x[t], c[t], acc) from +0 in
+// coordinate order.
+__attribute__((target("fma"))) double PanelColumnDotFma(const double* x,
+                                                        const double* column,
+                                                        int64_t d,
+                                                        int64_t stride) {
+  double acc = 0.0;
+  for (int64_t t = 0; t < d; ++t) {
+    acc = __builtin_fma(x[t], column[t * stride], acc);
+  }
+  return acc;
+}
+
 bool DetectAvx2Fma() {
   __builtin_cpu_init();
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -514,6 +759,20 @@ inline void DotPanelTailFma(const double*, const double*, int64_t, int64_t,
                             double*) {}
 inline void SqPanelTailFma(const double*, const double*, int64_t, int64_t,
                            double*) {}
+inline bool ScreenConvertAvx2(const double*, int64_t, float*) {
+  return false;
+}
+inline void ScreenDotsAvx2(const float*, const float*, int64_t, int64_t,
+                           float*) {}
+inline bool ScreenSelectAvx2(const float*, double, const double*, int64_t,
+                             double, int64_t, int64_t,
+                             std::vector<int32_t>*) {
+  return false;
+}
+inline double PanelColumnDotFma(const double*, const double*, int64_t,
+                                int64_t) {
+  return 0.0;
+}
 #endif  // defined(__x86_64__)
 
 // Dispatch wrappers. The AVX2 kernels store their register accumulators
@@ -740,13 +999,66 @@ void CenterPanels::Pack(const Matrix& centers, int64_t first_center) {
     const int64_t j = c % kCenterTile;
     for (int64_t t = 0; t < d; ++t) base[t * stride + j] = row[t];
   }
+  screen_.clear();
+}
+
+void CenterPanels::PackScreen() {
+  screen_.clear();
+  if (!kUseAvx2 || empty() || dim_ >= kScreenMaxDim) return;
+  screen_.resize(packed_.size());
+  if (!ScreenConvertAvx2(packed_.data(),
+                         static_cast<int64_t>(packed_.size()),
+                         screen_.data())) {
+    screen_ = std::vector<float>();
+  }
 }
 
 void CenterPanels::Clear() {
   packed_.clear();
+  screen_.clear();
   num_centers_ = 0;
   dim_ = 0;
   first_center_ = 0;
+}
+
+bool ScreenedTopM(const double* x, const double* point_norm,
+                  const CenterPanels& panels, const double* center_norms,
+                  int64_t m, int32_t* out_index, double* out_d2) {
+  KMEANSLL_CHECK_GT(m, 0);
+  const int64_t k = panels.num_centers();
+  const int64_t d = panels.dim();
+  const int64_t cap = k / kScreenShare;
+  if (!panels.has_screen() || m > cap) return false;
+  // Per-call scratch: the query in float, then the k float dots.
+  std::vector<float> scratch(static_cast<size_t>(d + k));
+  float* xf = scratch.data();
+  if (!ScreenConvertAvx2(x, d, xf)) return false;
+  const double pn = point_norm != nullptr ? *point_norm : SquaredNorm(x, d);
+  float* dots = xf + d;
+  ScreenDotsAvx2(xf, panels.screen_data(), k, d, dots);
+  std::vector<int32_t> candidates;
+  if (!ScreenSelectAvx2(dots, pn, center_norms, k, ScreenKappa(d), m, cap,
+                        &candidates)) {
+    return false;
+  }
+  // BatchTopM's merge over the candidates, each valued by the expanded
+  // kernel's convert of its panel chain.
+  for (int64_t s = 0; s < m; ++s) {
+    out_index[s] = -1;
+    out_d2[s] = std::numeric_limits<double>::infinity();
+  }
+  const int64_t full_end = k - k % kCenterTile;
+  for (const int32_t c : candidates) {
+    const int64_t panel_begin = c - c % kCenterTile;
+    const int64_t stride = c < full_end ? kCenterTile : k - full_end;
+    const double v = SquaredL2Expanded(
+        pn, center_norms[c],
+        PanelColumnDotFma(x, panels.data() + panel_begin * d + c % kCenterTile,
+                          d, stride));
+    InsertTopM(v, static_cast<int32_t>(panels.first_center() + c), m, out_d2,
+               out_index);
+  }
+  return true;
 }
 
 void BatchNearestMerge(ConstMatrixView points, IndexRange rows,
@@ -864,16 +1176,8 @@ void BatchTopM(ConstMatrixView points, IndexRange rows,
               double* pd = out_d2 + p * m;
               int32_t* pi = out_index + p * m;
               for (int64_t j = 0; j < count; ++j) {
-                const double v = d2v[j];
-                if (!(v < pd[m - 1])) continue;
-                int64_t s = m - 1;
-                while (s > 0 && v < pd[s - 1]) {
-                  pd[s] = pd[s - 1];
-                  pi[s] = pi[s - 1];
-                  --s;
-                }
-                pd[s] = v;
-                pi[s] = static_cast<int32_t>(base + c_off + j);
+                InsertTopM(d2v[j], static_cast<int32_t>(base + c_off + j), m,
+                           pd, pi);
               }
             });
 }
@@ -946,16 +1250,8 @@ void BatchTopMSubset(ConstMatrixView points, IndexRange rows,
               double* pd = out_d2 + p * m;
               int32_t* pi = out_index + p * m;
               for (int64_t j = j_lo; j < j_hi; ++j) {
-                const double v = d2v[j];
-                if (!(v < pd[m - 1])) continue;
-                int64_t s = m - 1;
-                while (s > 0 && v < pd[s - 1]) {
-                  pd[s] = pd[s - 1];
-                  pi[s] = pi[s - 1];
-                  --s;
-                }
-                pd[s] = v;
-                pi[s] = static_cast<int32_t>(base + c_off + j);
+                InsertTopM(d2v[j], static_cast<int32_t>(base + c_off + j), m,
+                           pd, pi);
               }
             });
 }

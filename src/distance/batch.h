@@ -117,8 +117,16 @@ class CenterPanels {
   /// Packs rows [first_center, centers.rows()) of `centers`. Full panels
   /// use stride kCenterTile; the final residue panel (k mod kCenterTile
   /// rows) is packed at its own width so small-k callers pay exact flops.
-  /// Repacking an already-packed object replaces its contents.
+  /// Repacking an already-packed object replaces its contents and drops
+  /// the fp32 copy (see PackScreen).
   void Pack(const Matrix& centers, int64_t first_center = 0);
+
+  /// Adds the fp32 copy of the packed panels that the one-row screen
+  /// (ScreenedTopM) scores against: one linear conversion of data(), in
+  /// the same layout, k·d·4 bytes. Stays empty where the screen cannot
+  /// certify this set: a CPU without AVX2+FMA, or a packed coordinate
+  /// that is neither 0 nor of magnitude in [2^-50, 2^50].
+  void PackScreen();
 
   /// Returns to the empty (unpacked) state.
   void Clear();
@@ -137,8 +145,14 @@ class CenterPanels {
   /// Raw panel storage (layout documented in Pack); kernel use only.
   const double* data() const { return packed_.data(); }
 
+  /// True while the fp32 copy is present (see PackScreen).
+  bool has_screen() const { return !screen_.empty(); }
+  /// The fp32 copy (layout of data()); kernel use only.
+  const float* screen_data() const { return screen_.data(); }
+
  private:
   std::vector<double> packed_;
+  std::vector<float> screen_;  // fp32 copy of packed_, or empty
   int64_t num_centers_ = 0;
   int64_t dim_ = 0;
   int64_t first_center_ = 0;
@@ -239,6 +253,27 @@ void BatchTopMSubset(ConstMatrixView points, IndexRange rows,
                      const double* center_norms, BatchKernel kernel,
                      IndexRange centers, int64_t m, int32_t* out_index,
                      double* out_d2);
+
+/// One-row top-m through the fp32 screen: writes exactly the m slots that
+/// BatchTopM writes for the row `x` over `panels` (slot 0 is bitwise the
+/// BatchNearestMerge result), from half the bytes. Every center is scored
+/// in float against panels' fp32 copy (PackScreen), and a certified bound
+/// on the gap between that score and the engine's double value (derived
+/// at ScreenKappa in batch.cc) keeps only the centers that could still be
+/// among the m nearest. Those are re-ranked in ascending index with the
+/// engine's per-pair values and BatchTopM's strict-< merge.
+///
+/// `point_norm` (null computes it with SquaredNorm) and `center_norms`
+/// (packed-relative) are the expanded kernel's norms; the result is the
+/// expanded kernel's. Returns false, leaving the outputs untouched, when
+/// the row must take the engine scan instead: panels without an fp32
+/// copy, a coordinate of `x` outside the certified range, or more
+/// surviving centers than re-ranking one pair at a time can beat the
+/// scan on (m > k/16 included). Safe to call concurrently: the scratch
+/// is per call.
+bool ScreenedTopM(const double* x, const double* point_norm,
+                  const CenterPanels& panels, const double* center_norms,
+                  int64_t m, int32_t* out_index, double* out_d2);
 
 /// Dense distance rows over pre-packed panels: out_d2[(i - rows.begin) ·
 /// panels.num_centers() + c] = ||points row i − packed center c||² for

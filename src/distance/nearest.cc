@@ -58,8 +58,7 @@ void NearestCenterSearch::Freeze() {
   // that follows; a silent stale-norm snapshot would corrupt every
   // expanded-kernel distance with no check firing.
   if (use_expanded_) center_norms_ = RowSquaredNorms(centers_);
-  panels_.Pack(centers_);
-  frozen_ = true;
+  PackPanels();
 }
 
 void NearestCenterSearch::FreezeWithNorms(std::vector<double> norms) {
@@ -74,7 +73,13 @@ void NearestCenterSearch::FreezeWithNorms(std::vector<double> norms) {
     }
     center_norms_ = std::move(norms);
   }
+  PackPanels();
+}
+
+void NearestCenterSearch::PackPanels() {
   panels_.Pack(centers_);
+  // The one-row screen re-ranks with the expanded kernel's values.
+  if (use_expanded_) panels_.PackScreen();
   frozen_ = true;
 }
 
@@ -127,6 +132,13 @@ void NearestCenterSearch::FindRange(ConstMatrixView points, IndexRange rows,
                                     double* out_d2) const {
   KMEANSLL_DCHECK(centers_.rows() > 0);
   const int64_t n = rows.size();
+  int32_t screened_index = -1;
+  if (n == 1 && ScreenedTopM(points.Row(rows.begin), point_norms, panels_,
+                             center_norms_or_null(), /*m=*/1,
+                             &screened_index, out_d2)) {
+    if (out_index != nullptr) *out_index = screened_index;
+    return;
+  }
   for (int64_t i = 0; i < n; ++i) {
     out_d2[i] = std::numeric_limits<double>::infinity();
   }
@@ -242,6 +254,11 @@ void NearestCenterSearch::FindTopMRange(ConstMatrixView points,
                                         int64_t m, int32_t* out_index,
                                         double* out_d2) const {
   KMEANSLL_DCHECK(centers_.rows() > 0);
+  if (rows.size() == 1 &&
+      ScreenedTopM(points.Row(rows.begin), point_norms, panels_,
+                   center_norms_or_null(), m, out_index, out_d2)) {
+    return;
+  }
   if (frozen_) {
     BatchTopM(points, rows, point_norms, panels_, center_norms_or_null(),
               batch_kernel(), m, out_index, out_d2);

@@ -68,6 +68,9 @@ class NearestCenterSearch {
   /// every subsequent batch query reuses them instead of re-packing per
   /// call. Call before handing the search to concurrent FindRange
   /// callers (Freeze itself is not thread-safe; the frozen queries are).
+  /// Under the expanded kernel it also keeps the panels' fp32 copy
+  /// (CenterPanels::PackScreen, k·d·4 more bytes) that one-row FindRange
+  /// and FindTopMRange calls screen against (see ScreenedTopM).
   ///
   /// Invalidation contract: the panels are a bitwise snapshot. After
   /// mutating the bound center matrix in place, call Freeze() again to
@@ -109,7 +112,9 @@ class NearestCenterSearch {
   /// and out_d2[i - rows.begin]; the output arrays need no
   /// initialization. `point_norms` (indexed i - rows.begin) may be null,
   /// as may `out_index` for distance-only callers. Uses the frozen panel
-  /// snapshot when present, else packs per call.
+  /// snapshot when present, else packs per call. A one-row call on a
+  /// frozen expanded-kernel search goes through the fp32 screen
+  /// (ScreenedTopM) where it can, with the same bits.
   void FindRange(ConstMatrixView points, IndexRange rows,
                  const double* point_norms, int32_t* out_index,
                  double* out_d2) const;
@@ -152,7 +157,8 @@ class NearestCenterSearch {
   /// (s+1)-th nearest center row and its squared distance. Slot 0 is
   /// bitwise the FindRange result; exact ties sort by ascending center
   /// index; m > k leaves trailing slots at index -1 / +infinity. This is
-  /// the serving layer's AssignTopM primitive (see BatchTopM).
+  /// the serving layer's AssignTopM primitive (see BatchTopM); one row is
+  /// screened as in FindRange.
   void FindTopMRange(ConstMatrixView points, IndexRange rows,
                      const double* point_norms, int64_t m,
                      int32_t* out_index, double* out_d2) const;
@@ -190,10 +196,13 @@ class NearestCenterSearch {
   const double* center_norms_or_null() const {
     return use_expanded_ ? center_norms_.data() : nullptr;
   }
+  /// Packs panels_ (and its fp32 copy under the expanded kernel); the
+  /// shared tail of Freeze and FreezeWithNorms.
+  void PackPanels();
 
   const Matrix& centers_;  // not owned; must outlive the search
   std::vector<double> center_norms_;
-  CenterPanels panels_;  // packed snapshot; valid iff frozen_
+  CenterPanels panels_;  // packed snapshot (+ fp32 copy); valid iff frozen_
   bool frozen_ = false;
   bool use_expanded_;
 };

@@ -259,7 +259,9 @@ void ForEachBlock(const DatasetSource& source, int64_t begin, int64_t end,
 
 /// Copies the selected global rows' points into a dense matrix (the
 /// source-agnostic analog of Matrix::GatherRows). Indices need not be
-/// sorted, but ascending runs pin each shard only once.
+/// sorted. Each run of consecutive indices is pinned and block-copied
+/// once (split only where a shard ends), so a gather pins exactly the
+/// rows it copies: a pass counter sees picks, not the shards around them.
 Matrix GatherPoints(const DatasetSource& source,
                     const std::vector<int64_t>& indices);
 

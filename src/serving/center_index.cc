@@ -279,8 +279,8 @@ void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
       static_cast<size_t>(std::min<int64_t>(n, kQueryTile) * g));
   std::vector<std::pair<double, int32_t>> order;
   order.reserve(p.active_groups.size());
-  // Seeded bests of a multi-row exact tile: each row's nearest-coarse
-  // group, scanned up front.
+  // Seeded bests of a tile: each row's nearest-coarse group, scanned up
+  // front.
   struct Seed {
     double d2 = kInf;
     int32_t orig = -1;
@@ -339,29 +339,26 @@ void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
       return ConstMatrixView(points.Row(rows.begin + tb + i), 1, d);
     };
 
-    // A multi-row tile first scans each row's nearest-coarse group
-    // (argmin of the coarse distances, lowest group on ties) and counts
-    // the row × group slots whose bound that best cannot exclude. Where
-    // more than half survive, the walk would visit most groups one row
-    // at a time, so the tile is answered by the flat panels in one
-    // blocked scan instead. Both return the exact lexicographic minimum
-    // on (d², original index), so the answers are bitwise the walk's.
-    const bool seeded = tn >= 2;
-    if (seeded) seeds.assign(static_cast<size_t>(tn), Seed{});
+    // Every tile, a single row included, first scans each row's
+    // nearest-coarse group (argmin of the coarse distances, lowest group
+    // on ties) and counts the row × group slots whose bound that best
+    // cannot exclude. Where more than half survive, the walk would visit
+    // most groups one row at a time, so the tile is answered by the flat
+    // panels instead: in one blocked scan, or for a single row through
+    // the fp32 screen. Both return the exact lexicographic minimum on
+    // (d², original index), so the answers are bitwise the walk's.
+    seeds.assign(static_cast<size_t>(tn), Seed{});
     int64_t survivors = 0;
     for (int64_t i = 0; i < tn; ++i) {
       double* row_lb = lb.data() + i * g;
       int32_t nearest = -1;
-      if (seeded) {
-        for (const int32_t j : p.active_groups) {
-          if (nearest < 0 || row_lb[j] < row_lb[nearest]) nearest = j;
-        }
+      for (const int32_t j : p.active_groups) {
+        if (nearest < 0 || row_lb[j] < row_lb[nearest]) nearest = j;
       }
       for (const int32_t j : p.active_groups) {
         row_lb[j] = std::sqrt(row_lb[j]) -
                     p.group_radius[static_cast<size_t>(j)];
       }
-      if (!seeded) continue;
       Seed& seed = seeds[static_cast<size_t>(i)];
       seed.group = nearest;
       scan_group(row_view(i), pn + i, nearest, &seed.d2, &seed.orig);
@@ -371,7 +368,7 @@ void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
         if (!(row_lb[j] - slack > best)) ++survivors;
       }
     }
-    if (seeded && 2 * survivors > tn * active) {
+    if (2 * survivors > tn * active) {
       // Counted as pruned queries that scanned every group.
       search_.FindRange(points, IndexRange{rows.begin + tb, rows.begin + te},
                         pn, out_index == nullptr ? nullptr : out_index + tb,
@@ -392,13 +389,13 @@ void CenterIndex::PrunedFindRange(ConstMatrixView points, IndexRange rows,
       }
       std::sort(order.begin(), order.end());
 
-      const Seed seed = seeded ? seeds[static_cast<size_t>(i)] : Seed{};
+      const Seed seed = seeds[static_cast<size_t>(i)];
       double best_d2 = seed.d2;
       int32_t best_orig = seed.orig;
-      int64_t scanned = seeded ? 1 : 0;
+      int64_t scanned = 1;
       const ConstMatrixView view = row_view(i);
       for (const auto& [bound, j] : order) {
-        if (best_orig >= 0 && bound - slack > std::sqrt(best_d2)) break;
+        if (bound - slack > std::sqrt(best_d2)) break;
         if (j == seed.group) continue;
         scan_group(view, pn + i, j, &best_d2, &best_orig);
         ++scanned;

@@ -4,7 +4,8 @@
 // Training produces centers; serving answers "which cluster is this
 // point in" at high QPS. The index is the bridge: it owns a bitwise copy
 // of the k × d centers together with everything the batch distance
-// engine (distance/batch.h) needs precomputed — the packed CenterPanels
+// engine (distance/batch.h) needs precomputed — the packed CenterPanels,
+// their fp32 copy for one-row screens (k·d·4 bytes, expanded kernel only)
 // and the center squared norms — so per-query work is pure scanning with
 // zero packing or norm cost. Once built, a CenterIndex never changes;
 // every query method is const and safe to call from any number of
@@ -33,7 +34,11 @@
 // Assignment — indices, cost, and tie resolution — is bitwise identical
 // to ComputeAssignment on the same centers at any pool size. AssignOne
 // is AssignRange on one row, and AssignTopM's slot 0 is bitwise the
-// AssignOne result. The pruned
+// AssignOne result. A one-row flat scan under the expanded kernel scores
+// every center in float first and re-ranks only the centers a certified
+// bound keeps, with the engine's per-pair values and merge (ScreenedTopM
+// in distance/batch.h), so its answer is the full scan's bit for bit. The
+// pruned
 // path PRESERVES all of this bitwise: per-pair engine values never
 // depend on panel placement, the in-group permutation keeps ascending
 // original order (so in-group strict-< ties resolve like the flat scan),
@@ -41,10 +46,10 @@
 // and the skip test subtracts a conservative floating-point slack from
 // the bound before comparing strictly — a skipped group's members are
 // provably strictly farther than the running best, so neither values nor
-// tie resolution can change. A multi-row tile whose own bounds
-// cannot skip most groups is answered by the flat panels in one blocked
-// scan instead of the walk (see PrunedFindRange) — the flat scan is the
-// same exact lexicographic minimum.
+// tie resolution can change. A tile (a single row included) whose own
+// bounds cannot skip most groups is answered by the flat panels instead
+// of the walk (see PrunedFindRange) — the flat scan is the same exact
+// lexicographic minimum.
 
 #ifndef KMEANSLL_SERVING_CENTER_INDEX_H_
 #define KMEANSLL_SERVING_CENTER_INDEX_H_
@@ -148,8 +153,10 @@ class CenterIndex {
   PruneStats prune_stats() const;
 
   /// Nearest center for one point (`point` has dim() coordinates):
-  /// AssignRange on one row, through the panel engine. Concurrent
-  /// callers scan in parallel; serving::RequestBatcher puts admission
+  /// AssignRange on one row — under the expanded kernel a flat row
+  /// goes through the fp32 screen and its exact re-rank, with the panel
+  /// engine's bits. Concurrent callers scan in parallel (the screen's
+  /// scratch is per call); serving::RequestBatcher puts admission
   /// control in front of this call.
   NearestResult AssignOne(const double* point) const;
 
@@ -212,11 +219,11 @@ class CenterIndex {
   void BuildPruned(ThreadPool* pool);
 
   /// Pruned-path FindRange: per-row adaptive group scans, bitwise equal
-  /// to the flat FindRange. A tile of two or more rows first scans each
-  /// row's nearest-coarse group; if more than half of the tile's row ×
-  /// group slots survive that best's bounds, the tile is answered by
-  /// search_ in one FindRange, otherwise the walk resumes from the
-  /// seeded best. Single rows always walk.
+  /// to the flat FindRange. Every tile first scans each row's
+  /// nearest-coarse group; if more than half of the tile's row × group
+  /// slots survive that best's bounds, the tile is answered by search_
+  /// in one FindRange (a single row through the fp32 screen), otherwise
+  /// the walk resumes from the seeded best.
   /// `point_norms` (range-relative, SquaredNorm chain) may be null.
   void PrunedFindRange(ConstMatrixView points, IndexRange rows,
                        const double* point_norms, int32_t* out_index,

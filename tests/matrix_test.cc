@@ -1,14 +1,16 @@
-// Tests for src/matrix: AlignedBuffer, Matrix, Dataset.
+// Tests for src/matrix: AlignedBuffer, Matrix, Dataset, GatherPoints.
 
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <cmath>
-
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "matrix/aligned_buffer.h"
 #include "matrix/dataset.h"
+#include "matrix/dataset_view.h"
 #include "matrix/matrix.h"
 
 namespace kmeansll {
@@ -226,6 +228,87 @@ TEST(DatasetTest, SplitMorePartsThanRowsYieldsEmptyTails) {
   int64_t total = 0;
   for (auto [b, e] : ranges) total += e - b;
   EXPECT_EQ(total, 2);
+}
+
+// ------------------------------------------------------------ GatherPoints
+
+// A weighted in-memory table served as `shards` equal blocks: a pin ends
+// at its block's boundary, as a shard's does. Pins and pinned rows are
+// counted, as perfbench's pass counter counts them.
+class BlockSource final : public DatasetSource {
+ public:
+  BlockSource(const Matrix* points, const std::vector<double>* weights,
+              int64_t shards)
+      : points_(points), weights_(weights),
+        block_rows_((points->rows() + shards - 1) / shards) {}
+
+  int64_t n() const override { return points_->rows(); }
+  int64_t dim() const override { return points_->cols(); }
+  bool has_weights() const override { return true; }
+  bool has_labels() const override { return false; }
+  double TotalWeight() const override { return 0.0; }
+  PinnedBlock Pin(int64_t begin, int64_t end) const override {
+    const int64_t block_end = (begin / block_rows_ + 1) * block_rows_;
+    const int64_t stop = std::min(end, block_end);
+    ++pins_;
+    rows_ += stop - begin;
+    return PinnedBlock(DatasetView(
+        ConstMatrixView(points_->Row(begin), stop - begin, points_->cols()),
+        begin, weights_->data() + begin, nullptr));
+  }
+  int64_t pins() const { return pins_; }
+  int64_t rows_pinned() const { return rows_; }
+
+ private:
+  const Matrix* points_;
+  const std::vector<double>* weights_;
+  int64_t block_rows_;
+  mutable int64_t pins_ = 0;
+  mutable int64_t rows_ = 0;
+};
+
+// A gather pins exactly the rows it copies: one pin per run of
+// consecutive picks, split where a shard ends, and the same bits as
+// Matrix::GatherRows.
+TEST(GatherPointsTest, PinsEachRunOfPicksOnce) {
+  const int64_t n = 400, d = 5;
+  Matrix points(n, d);
+  std::vector<double> weights(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    weights[static_cast<size_t>(i)] = 0.5 + static_cast<double>(i);
+    for (int64_t t = 0; t < d; ++t) {
+      points.At(i, t) = std::sin(static_cast<double>(i * d + t));
+    }
+  }
+  // Sorted picks in all four shards: every seventh row, then a run of
+  // five consecutive rows across the shard boundary at row 200.
+  std::vector<int64_t> picks;
+  for (int64_t i = 3; i < 190; i += 7) picks.push_back(i);
+  for (int64_t i = 198; i < 203; ++i) picks.push_back(i);
+  for (int64_t i = 210; i < n; i += 7) picks.push_back(i);
+  // One pin per pick, except the five-row run: two pins, split at row 200.
+  const int64_t runs = static_cast<int64_t>(picks.size()) - 5 + 2;
+
+  const BlockSource source(&points, &weights, 4);
+  const Matrix gathered = GatherPoints(source, picks);
+  EXPECT_EQ(source.pins(), runs);
+  EXPECT_EQ(source.rows_pinned(), static_cast<int64_t>(picks.size()));
+  std::vector<double> gathered_weights;
+  const Matrix with_weights =
+      GatherPointsAndWeights(source, picks, &gathered_weights);
+  EXPECT_EQ(source.pins(), 2 * runs);
+
+  const Matrix want = points.GatherRows(picks);
+  ASSERT_EQ(gathered.rows(), want.rows());
+  EXPECT_EQ(std::memcmp(gathered.data(), want.data(),
+                        static_cast<size_t>(want.size()) * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(with_weights.data(), want.data(),
+                        static_cast<size_t>(want.size()) * sizeof(double)),
+            0);
+  for (size_t j = 0; j < picks.size(); ++j) {
+    EXPECT_EQ(gathered_weights[j], weights[static_cast<size_t>(picks[j])]);
+  }
 }
 
 }  // namespace

@@ -10,13 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/model_io.h"
+#include "distance/batch.h"
+#include "distance/nearest.h"
 #include "matrix/dataset.h"
 #include "rng/rng.h"
 #include "serving/center_index.h"
@@ -267,9 +272,9 @@ PruneStats Delta(const PruneStats& after, const PruneStats& before) {
   return d;
 }
 
-// A multi-row tile whose bounds cannot skip most groups is answered by
-// the flat panels in one scan and counted as full scans; a tile whose
-// bounds can keeps walking. Single-row queries never go flat. Every
+// A tile whose bounds cannot skip most groups is answered by the flat
+// panels and counted as full scans; a tile whose bounds can keeps
+// walking. A single row is a tile of one and takes the same rule. Every
 // path stays bitwise equal to a flat twin.
 TEST(PrunedIndexTest, TilesThatCannotSkipGoFlat) {
   const int64_t k = 1024, d = 64, rows = 64;
@@ -299,7 +304,7 @@ TEST(PrunedIndexTest, TilesThatCannotSkipGoFlat) {
         CenterIndex::Build(Matrix(c.centers), PrunedOptions());
     ASSERT_TRUE(pruned->pruned());
 
-    // Single rows: the walk, with every group scanned or pruned.
+    // Single rows, with every group scanned or pruned.
     std::vector<int32_t> one_index(rows);
     std::vector<double> one_d2(rows);
     const PruneStats before_single = pruned->prune_stats();
@@ -316,9 +321,14 @@ TEST(PrunedIndexTest, TilesThatCannotSkipGoFlat) {
       one_d2[static_cast<size_t>(i)] = r.distance2;
     }
     const PruneStats single = Delta(pruned->prune_stats(), before_single);
-    // Even the diffuse index skips some groups one row at a time: single
-    // rows are not routed flat.
-    EXPECT_GT(single.groups_pruned, 0);
+    // Single rows take the tiles' rule: diffuse rows go flat, counted as
+    // full scans, and clustered rows still walk.
+    if (c.expect_flat) {
+      EXPECT_EQ(single.groups_pruned, 0);
+      EXPECT_EQ(single.groups_scanned, rows * active);
+    } else {
+      EXPECT_GT(single.groups_pruned, 0);
+    }
 
     // The same rows as one tile.
     std::vector<int32_t> tile_index(rows), flat_index(rows);
@@ -426,6 +436,61 @@ TEST(PrunedIndexTest, RefineAndPublishCarryPruningOptions) {
   EXPECT_TRUE(published->pruned());
   EXPECT_EQ(published->k(), 56);
   std::remove(path.c_str());
+}
+
+// Several threads query one flat and one pruned index at once; every
+// one-row answer (screened, walked or routed flat) must still be the
+// unscreened engine's. Under TSan this also proves the screen's scratch
+// is per call: the indexes are shared by every thread.
+TEST(PrunedIndexTest, ConcurrentOneRowQueriesMatchTheEngine) {
+  const int64_t k = 512, d = 64, n = 48, m = 4, threads = 4;
+  const Matrix centers = ClusteredMatrix(k, d, 16, 57);
+  Matrix queries = ClusteredMatrix(n, d, 16, 58);
+  const Matrix diffuse = RandomMatrix(n, d, 59, 8.0);
+  for (int64_t i = 1; i < n; i += 2) {
+    std::copy(diffuse.Row(i), diffuse.Row(i) + d, queries.Row(i));
+  }
+  CenterPanels panels;
+  panels.Pack(centers);
+  const std::vector<double> norms = RowSquaredNorms(centers);
+  std::vector<int32_t> want_index(n), want_top(n * m);
+  std::vector<double> want_d2(n, std::numeric_limits<double>::infinity()),
+      want_top_d2(n * m);
+  BatchNearestMerge(queries.view(), IndexRange{0, n}, nullptr, panels,
+                    norms.data(), BatchKernel::kExpanded, want_d2.data(),
+                    want_index.data());
+  BatchTopM(queries.view(), IndexRange{0, n}, nullptr, panels, norms.data(),
+            BatchKernel::kExpanded, m, want_top.data(), want_top_d2.data());
+
+  const auto flat = CenterIndex::Build(Matrix(centers));
+  const auto pruned = CenterIndex::Build(Matrix(centers), PrunedOptions());
+  ASSERT_TRUE(pruned->pruned());
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> workers;
+  for (int64_t w = 0; w < threads; ++w) {
+    workers.emplace_back([&, w] {
+      for (int64_t r = 0; r < 3; ++r) {
+        for (int64_t j = 0; j < n; ++j) {
+          const int64_t i = (j + w * 11) % n;
+          for (const CenterIndex* index : {flat.get(), pruned.get()}) {
+            const NearestResult one = index->AssignOne(queries.Row(i));
+            std::vector<int32_t> top;
+            std::vector<double> top_d2;
+            index->AssignTopM(queries.Row(i), m, &top, &top_d2);
+            const bool same =
+                one.index == want_index[i] && one.distance2 == want_d2[i] &&
+                std::equal(top.begin(), top.end(),
+                           want_top.begin() + i * m) &&
+                std::equal(top_d2.begin(), top_d2.end(),
+                           want_top_d2.begin() + i * m);
+            if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
